@@ -1,9 +1,10 @@
 """Look inside one divergence estimate.
 
 Walks through the pieces the mixture estimator assembles: the per-sample
-evidence curves over the concentration parameter, the joint maximum, the
-prior means that anchor the hyper-prior, and finally the posterior mean
-with its spread next to the point estimate at the maximum.
+evidence curves over the concentration parameter, the peak of the
+mixture weight, the prior means that anchor the hyper-prior, and finally
+the posterior mean with its spread next to the point estimate at the
+peak, with the quadrature diagnostics that back it.
 """
 
 import numpy as np
@@ -37,10 +38,8 @@ for alpha in (0.01, 0.1, 1.0, 10.0, 100.0):
     print(f"  alpha = {alpha:7.2f}   {log_evidence(table, alpha):10.2f}")
 
 peak = maximize_log_posterior(table, "dpm")
-print(f"\njoint posterior maximum: alpha* = {peak.alpha_star:.3f}, "
+print(f"\npeak node of the mixture weight: alpha* = {peak.alpha_star:.3f}, "
       f"beta* = {peak.beta_star:.3f}")
-print(f"curvature widths on the log axes: {peak.std_log_alpha:.3f}, "
-      f"{peak.std_log_beta:.3f}")
 
 print("\nprior means that the hyper-prior is built from (ln K = "
       f"{np.log(K):.3f}):")
@@ -57,3 +56,8 @@ print(f"dp  (point estimate at evidence maximum): {dp.value:.4f}")
 print(f"dpm (mixture over the hyper-prior):       {dpm.value:.4f} "
       f"+- {dpm.posterior_std:.4f}")
 print(f"exact divergence of the truth pair:       {truth:.4f}")
+
+diag = dpm.diagnostics
+print(f"\nquadrature: {diag['grid_bins_alpha']} x {diag['grid_bins_beta']} nodes, "
+      f"error estimate {diag['quad_error']:.1e}, "
+      f"weight on the box edge {diag['edge_mass']:.1e}")

@@ -22,6 +22,7 @@ import numpy as np
 from . import estimators as est
 from . import synth
 from .counts import build_table
+from .estimators import ESTIMATOR_NAMES
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -35,7 +36,6 @@ __all__ = [
     "write_nstar_csv",
 ]
 
-ESTIMATOR_NAMES = ("dpm", "dp", "naive", "jeffreys", "trybula", "perks", "zhang")
 DEFAULT_LADDER = (25, 50, 100, 200, 400, 1000, 4000, 10000, 40000)
 
 
@@ -72,8 +72,6 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.generator not in ("dirichlet", "markov"):
             raise ValueError(f"unknown generator {self.generator!r}")
-        if self.divergence not in ("kl", "hellinger2"):
-            raise ValueError(f"unknown divergence {self.divergence!r}")
         if self.generator == "dirichlet":
             if self.K < 2:
                 raise ValueError("K must be at least 2")
@@ -92,15 +90,10 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if not self.estimators:
             raise ValueError("no estimators selected")
-        seen = set()
         for name in self.estimators:
-            if name not in ESTIMATOR_NAMES:
-                raise ValueError(f"unknown estimator {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate estimator {name!r}")
-            seen.add(name)
-        if "zhang" in self.estimators and self.divergence != "kl":
-            raise ValueError("the zhang estimator is defined for KL only")
+            est.check_estimator(name, self.divergence)
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError("duplicate estimator in estimators")
         if self.parent_size is not None and self.parent_size < max(self.size_ladder):
             raise ValueError("parent_size must cover the largest ladder size")
         if self.workers < 1:
@@ -111,29 +104,6 @@ class ExperimentConfig:
         if self.generator == "markov":
             return int(self.states**self.gram_length)
         return int(self.K)
-
-
-def _apply_estimator(name, table, divergence):
-    """Run one named estimator; returns (value, posterior_std or None)."""
-    if name == "dpm":
-        report = (
-            est.estimate_dkl_dpm(table)
-            if divergence == "kl"
-            else est.estimate_hellinger_dpm(table)
-        )
-        return report.value, report.posterior_std
-    if name == "dp":
-        report = (
-            est.estimate_dkl_dp(table)
-            if divergence == "kl"
-            else est.estimate_hellinger_dp(table)
-        )
-        return report.value, None
-    if name == "zhang":
-        return est.estimate_dkl_zhang(table), None
-    if divergence == "kl":
-        return est.estimate_dkl_plugin(table, name), None
-    return est.estimate_hellinger_plugin(table, name), None
 
 
 def _markov_specs(config, seed_pair):
@@ -200,8 +170,9 @@ def _rep_rows(config, spec_q, spec_t, rep, rep_seed):
         n, m = sample_pair(size)
         table = build_table(n, m, K)
         for name in config.estimators:
-            value, std = _apply_estimator(name, table, config.divergence)
-            rows.append(Row(name, int(size), int(rep), float(value), float(truth), std))
+            report = est.estimate(table, name, config.divergence)
+            rows.append(Row(name, int(size), int(rep), float(report.value),
+                            float(truth), report.posterior_std))
     return rows
 
 

@@ -140,46 +140,25 @@ def _single(values, flag):
 
 def cmd_estimate(args):
     try:
+        est.check_estimator(args.estimator, args.divergence)
         table = load_count_files(args.file1, args.file2, k=args.k)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    name = args.estimator
-    divergence = args.divergence
-    if name == "zhang" and divergence != "kl":
-        print("error: the zhang estimator is defined for KL only", file=sys.stderr)
-        return 2
-    payload = {"estimator": name, "divergence": divergence}
     try:
-        if name == "dpm":
-            report = (
-                est.estimate_dkl_dpm(table)
-                if divergence == "kl"
-                else est.estimate_hellinger_dpm(table)
-            )
-            payload["value"] = report.value
-            if report.posterior_std is not None:
-                payload["posterior_std"] = report.posterior_std
-            payload["diagnostics"] = report.diagnostics
-        elif name == "dp":
-            report = (
-                est.estimate_dkl_dp(table)
-                if divergence == "kl"
-                else est.estimate_hellinger_dp(table)
-            )
-            payload["value"] = report.value
-            payload["diagnostics"] = report.diagnostics
-        elif name == "zhang":
-            payload["value"] = est.estimate_dkl_zhang(table)
-        else:
-            payload["value"] = (
-                est.estimate_dkl_plugin(table, name)
-                if divergence == "kl"
-                else est.estimate_hellinger_plugin(table, name)
-            )
+        report = est.estimate(table, args.estimator, args.divergence)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    payload = {
+        "estimator": args.estimator,
+        "divergence": args.divergence,
+        "value": report.value,
+    }
+    if report.posterior_std is not None:
+        payload["posterior_std"] = report.posterior_std
+    if report.diagnostics:
+        payload["diagnostics"] = report.diagnostics
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0

@@ -6,20 +6,22 @@ Bayesian routes:
   its own Dirichlet-multinomial evidence; the posterior mean at that
   single (alpha*, beta*) is the estimate.
 * DPM: full mixture.  The posterior mean is averaged over (alpha, beta)
-  against evidence times a flattening hyper-prior, integrated on a
-  log-spaced trapezoid grid centered at the joint maximum with a width
-  set by a Gaussian (Hessian) approximation.
+  against evidence times a flattening hyper-prior, over the whole box
+  [1e-6, 1e6]^2 in (ln alpha, ln beta).  A coarse scan finds where the
+  weight lies; trapezoid grids over that window are doubled until they
+  agree with their every-other-node subgrid.
 
 Baselines: pseudo-count plugins (naive / jeffreys / trybula / perks), the
 bias-corrected Z estimator for KL, and the evidence-mixture entropy
-estimator (NSB) used for single samples.
+estimator (NSB) used for single samples, which runs the same quadrature
+in one dimension.  ``estimate`` dispatches on estimator and divergence
+names.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .counts import MultiplicityTable, build_table
 from .hyperprior import (
@@ -43,6 +45,8 @@ from .posterior import (
 __all__ = [
     "EstimateReport",
     "PosteriorMax",
+    "estimate",
+    "check_estimator",
     "maximize_log_posterior",
     "estimate_dkl_dpm",
     "estimate_dkl_dp",
@@ -53,16 +57,22 @@ __all__ = [
     "estimate_dkl_zhang",
     "estimate_entropy_nsb",
     "PLUGIN_SCHEMES",
+    "ESTIMATOR_NAMES",
 ]
 
 _LOG_LO = math.log(1e-6)
 _LOG_HI = math.log(1e6)
-_STARTS = [math.log(s) for s in (1e-4, 1e-2, 1.0, 1e2, 1e4)]
-_HESS_STEP = 0.05
 _EDGE_TOL = 1e-6
-_FD_STEP = 1e-6
+_SCAN_NODES = 33      # per axis, on every scan of the weight
+_SCAN_DEPTH = 30.0    # a scan keeps the nodes within e^-30 of its maximum
+_MAX_SCANS = 40       # an unfilled window shrinks to at most 17/32 per rescan
+_FIRST_NODES = 33     # per axis, on the first quadrature level
+_MAX_NODES = 1025     # per axis, on the last level allowed
+_QUAD_TOL = 1e-6      # relative agreement of a level with its subgrid
 
 PLUGIN_SCHEMES = ("naive", "jeffreys", "trybula", "perks")
+ESTIMATOR_NAMES = ("dpm", "dp") + PLUGIN_SCHEMES + ("zhang",)
+_DIVERGENCES = ("kl", "hellinger2")
 
 
 @dataclass
@@ -71,6 +81,7 @@ class EstimateReport:
 
     ``posterior_std`` is only filled by the KL mixture estimator (the one
     with a second-moment formula); everything else reports None.
+    ``diagnostics`` is empty for the plugins and the Z estimator.
     """
 
     value: float
@@ -84,8 +95,6 @@ class PosteriorMax:
 
     alpha_star: float
     beta_star: float
-    std_log_alpha: float
-    std_log_beta: float
     log_objective: float
     boundary_alpha: bool = False
     boundary_beta: bool = False
@@ -97,50 +106,6 @@ def _check_table(table, bayes=False):
     if bayes and table.K < 2:
         raise ValueError("Bayesian estimators need K >= 2")
     return table
-
-
-def _bins_for(K, total):
-    """Trapezoid nodes per axis: 10 (K/total)^2 clamped to [20, 2000]."""
-    if total <= 0:
-        return 2000
-    return int(min(2000, max(20, round(10.0 * (K / total) ** 2))))
-
-
-def _maximize(fun_grad, n_dim):
-    """L-BFGS-B from log-spaced multistarts; returns (u_vec, objective)."""
-    bounds = [(_LOG_LO, _LOG_HI)] * n_dim
-    best = None
-    for s in _STARTS:
-        res = minimize(
-            fun_grad,
-            x0=np.full(n_dim, s),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return np.asarray(best.x, dtype=float), -float(best.fun)
-
-
-def _curvature_std(f_1d, u_star):
-    """Gaussian std from a second difference of the log objective.
-
-    Falls back to 1.0 (a +-3 log-unit window) when the curvature is not
-    negative, which happens on flat or edge-pinned objectives.
-    """
-    lo = max(u_star - _HESS_STEP, _LOG_LO)
-    hi = min(u_star + _HESS_STEP, _LOG_HI)
-    h1, h2 = u_star - lo, hi - u_star
-    if min(h1, h2) < 0.25 * _HESS_STEP:
-        return 1.0
-    fa, fb, fc = f_1d(lo), f_1d(u_star), f_1d(hi)
-    hess = 2.0 * (
-        fa / (h1 * (h1 + h2)) - fb / (h1 * h2) + fc / (h2 * (h1 + h2))
-    )
-    if not np.isfinite(hess) or hess >= -1e-12:
-        return 1.0
-    return float(1.0 / math.sqrt(-hess))
 
 
 def _at_edge(u):
@@ -155,152 +120,175 @@ def _log_prior_for(divergence):
     raise ValueError(f"unknown divergence {divergence!r}")
 
 
+def _dpm_log_weight(table, divergence):
+    """ln(evidence x hyper-prior x alpha beta) on (ln alpha, ln beta) axes."""
+    log_prior = _log_prior_for(divergence)
+
+    def log_weight(ua, ub):
+        a, b = np.exp(ua), np.exp(ub)
+        return (
+            log_evidence_grid(table, a, 1)[:, None]
+            + log_evidence_grid(table, b, 2)[None, :]
+            + log_prior(a[:, None], b[None, :], table.K)
+            + ua[:, None]
+            + ub[None, :]
+        )
+
+    return log_weight
+
+
+# --- whole-box quadrature ---------------------------------------------------
+
+def _scan(log_weight, dims):
+    """Coarse log grids that close in on the bulk of the weight.
+
+    The first scan covers the whole box.  On each axis it keeps the node
+    span where the log weight lies within _SCAN_DEPTH of its maximum,
+    widened by one node on each side; that span is scanned again until
+    it fills at least half the nodes of every axis.  Returns the window
+    to integrate over, the per-axis concentrations at the last scan's
+    best node, the log weight there, and whether each axis of the window
+    reaches the box edge.
+    """
+    window = [(_LOG_LO, _LOG_HI)] * dims
+    for _ in range(_MAX_SCANS):
+        axes = [np.linspace(lo, hi, _SCAN_NODES) for lo, hi in window]
+        log_w = log_weight(*axes)
+        keep = log_w >= log_w.max() - _SCAN_DEPTH
+        window, filled = [], True
+        for k, u in enumerate(axes):
+            other = tuple(j for j in range(dims) if j != k)
+            hit = np.flatnonzero(keep.any(axis=other))
+            lo, hi = max(hit[0] - 1, 0), min(hit[-1] + 1, len(u) - 1)
+            window.append((u[lo], u[hi]))
+            filled = filled and 2 * (hit[-1] - hit[0] + 1) >= len(u)
+        if filled:
+            break
+    peak = np.unravel_index(np.argmax(log_w), log_w.shape)
+    stars = [math.exp(u[i]) for u, i in zip(axes, peak)]
+    edges = [bool(lo == _LOG_LO or hi == _LOG_HI) for lo, hi in window]
+    return window, stars, float(log_w[peak]), edges
+
+
+def _trapezoid_weights(log_w):
+    """Normalized trapezoid weights of a log-weight grid with even steps."""
+    w = np.exp(log_w - log_w.max())
+    for k in range(w.ndim):
+        face = np.moveaxis(w, k, 0)
+        face[0] *= 0.5
+        face[-1] *= 0.5
+    return w / w.sum()
+
+
+def _mixture_average(log_w, grids):
+    """Weighted averages sum(w * grid) / sum(w) under trapezoid weights."""
+    w = _trapezoid_weights(log_w)
+    return [float((w * g).sum()) for g in grids]
+
+
+def _edge_mass(log_w, window):
+    """Share of the weight in the node layers that lie on the box edge."""
+    w = _trapezoid_weights(log_w)
+    edge = np.zeros(w.shape, dtype=bool)
+    for k, (lo, hi) in enumerate(window):
+        face = np.moveaxis(edge, k, 0)
+        face[0] |= lo == _LOG_LO
+        face[-1] |= hi == _LOG_HI
+    return float(w[edge].sum())
+
+
+def _quadrature(log_weight, moments, dims, report=tuple):
+    """Posterior averages of ``moments`` over the whole box.
+
+    Scans for the window, then evaluates the log weight and the moment
+    grids once per level, on _FIRST_NODES nodes per axis, doubling the
+    steps until every average agrees to _QUAD_TOL relative with the
+    average over the every-other-node subgrid of the same evaluation, or
+    until _MAX_NODES.  Returns ``report`` of the last level's averages,
+    and the diagnostics of the run; their ``quad_error`` is the largest
+    change of a reported number between the level and its subgrid.
+    """
+    window, stars, top, edges = _scan(log_weight, dims)
+    nodes = _FIRST_NODES
+    while True:
+        axes = [np.linspace(lo, hi, nodes) for lo, hi in window]
+        log_w = log_weight(*axes)
+        grids = moments(*axes)
+        half = (slice(None, None, 2),) * dims
+        fine = _mixture_average(log_w, grids)
+        coarse = _mixture_average(log_w[half], [g[half] for g in grids])
+        if nodes >= _MAX_NODES or all(
+            abs(f - c) <= _QUAD_TOL * abs(f) for f, c in zip(fine, coarse)
+        ):
+            break
+        nodes = 2 * nodes - 1
+    diag = {"log_evidence_at_max": top, "edge_mass": _edge_mass(log_w, window)}
+    for name, star, edge in zip(("alpha", "beta"), stars, edges):
+        diag[f"{name}_star"] = star
+        diag[f"grid_bins_{name}"] = nodes
+        diag[f"boundary_{name}"] = edge
+    out, out_sub = report(fine), report(coarse)
+    diag["quad_error"] = max(abs(f - c) for f, c in zip(out, out_sub))
+    return out, diag
+
+
+def _mean_std(averages):
+    first, second = averages
+    return first, math.sqrt(max(0.0, second - first * first))
+
+
 def maximize_log_posterior(table, weight="dpm", divergence="kl"):
     """Maximize the evidence ("dp") or evidence + hyper-prior ("dpm").
 
     Works in (ln alpha, ln beta) over the box [1e-6, 1e6]^2.  For "dp"
-    the objective separates and each coordinate is maximized on its own;
-    for "dpm" the joint objective includes the flattening weight and the
-    ln alpha + ln beta measure term, so the maximum and curvature match
-    the integrand used in quadrature.  An empty sample leaves its
-    coordinate flat: it is pinned at 1.0 and flagged as boundary.
+    the objective separates: each coordinate is bracketed by the best
+    node of a whole-box scan and then bisected on the sign of the
+    analytic evidence gradient.  An empty sample leaves its coordinate
+    flat: it is pinned at 1.0 and flagged as boundary.  For "dpm" the
+    result is the best node of the quadrature's scan, with
+    ``boundary_*`` set when the integration window reaches the box edge.
     """
     _check_table(table, bayes=True)
     mode = str(weight).lower()
-    if mode == "dp":
-        out = []
-        for which, total in ((1, table.N), (2, table.M)):
-            if total == 0:
-                # flat evidence: pin the scale at 1, widest fallback window
-                out.append((1.0, 0.0, 1.0, True))
-                continue
-
-            def fun(u, _w=which):
-                a = math.exp(float(u[0]))
-                f = log_evidence(table, a, _w)
-                g = a * log_evidence_gradient(table, a, _w)
-                return -f, np.array([-g])
-
-            u_best, f_best = _maximize(fun, 1)
-            u0 = float(u_best[0])
-            sd = _curvature_std(
-                lambda t, _w=which: log_evidence(table, math.exp(t), _w), u0
-            )
-            out.append((math.exp(u0), f_best, sd, _at_edge(u0)))
-        (a_star, f_a, sd_a, edge_a), (b_star, f_b, sd_b, edge_b) = out
-        return PosteriorMax(
-            alpha_star=a_star,
-            beta_star=b_star,
-            std_log_alpha=sd_a,
-            std_log_beta=sd_b,
-            log_objective=f_a + f_b,
-            boundary_alpha=edge_a,
-            boundary_beta=edge_b,
-        )
-    if mode != "dpm":
+    if mode == "dpm":
+        _, stars, top, edges = _scan(_dpm_log_weight(table, divergence), 2)
+        return PosteriorMax(*stars, top, *edges)
+    if mode != "dp":
         raise ValueError("weight must be 'dp' or 'dpm'")
-
-    log_prior = _log_prior_for(divergence)
-    K = table.K
-
-    def prior_part(u, v):
-        return (
-            log_prior(math.exp(u), math.exp(v), K) + u + v
-        )
-
-    def objective(u, v):
-        f = prior_part(u, v)
-        if table.N:
-            f += log_evidence(table, math.exp(u), 1)
-        if table.M:
-            f += log_evidence(table, math.exp(v), 2)
-        return f
-
-    def fun(uv):
-        u, v = float(uv[0]), float(uv[1])
-        a, b = math.exp(u), math.exp(v)
-        f = objective(u, v)
-        gu = 1.0 + (
-            a * log_evidence_gradient(table, a, 1) if table.N else 0.0
-        )
-        gv = 1.0 + (
-            b * log_evidence_gradient(table, b, 2) if table.M else 0.0
-        )
-        # hyper-prior slope by central differences; smooth and cheap
-        gu += (
-            log_prior(math.exp(u + _FD_STEP), b, K)
-            - log_prior(math.exp(u - _FD_STEP), b, K)
-        ) / (2.0 * _FD_STEP)
-        gv += (
-            log_prior(a, math.exp(v + _FD_STEP), K)
-            - log_prior(a, math.exp(v - _FD_STEP), K)
-        ) / (2.0 * _FD_STEP)
-        return -f, np.array([-gu, -gv])
-
-    u_best, f_best = _maximize(fun, 2)
-    u0, v0 = float(u_best[0]), float(u_best[1])
-    sd_a = _curvature_std(lambda t: objective(t, v0), u0)
-    sd_b = _curvature_std(lambda t: objective(u0, t), v0)
+    out = []
+    for which, total in ((1, table.N), (2, table.M)):
+        if total == 0:
+            out.append((1.0, 0.0, True))
+            continue
+        u = np.linspace(_LOG_LO, _LOG_HI, _SCAN_NODES)
+        i = int(np.argmax(log_evidence_grid(table, np.exp(u), which)))
+        lo, hi = float(u[max(i - 1, 0)]), float(u[min(i + 1, len(u) - 1)])
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if log_evidence_gradient(table, math.exp(mid), which) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        u_star = 0.5 * (lo + hi)
+        a_star = math.exp(u_star)
+        out.append((a_star, log_evidence(table, a_star, which), _at_edge(u_star)))
+    (a_star, f_a, edge_a), (b_star, f_b, edge_b) = out
     return PosteriorMax(
-        alpha_star=math.exp(u0),
-        beta_star=math.exp(v0),
-        std_log_alpha=sd_a,
-        std_log_beta=sd_b,
-        log_objective=f_best,
-        boundary_alpha=_at_edge(u0),
-        boundary_beta=_at_edge(v0),
+        alpha_star=a_star,
+        beta_star=b_star,
+        log_objective=f_a + f_b,
+        boundary_alpha=edge_a,
+        boundary_beta=edge_b,
     )
-
-
-# --- quadrature -----------------------------------------------------------
-
-def _window_nodes(center_log, std_log, bins):
-    lo = max(center_log - 3.0 * std_log, _LOG_LO)
-    hi = min(center_log + 3.0 * std_log, _LOG_HI)
-    if hi <= lo:
-        return np.array([max(min(center_log, _LOG_HI), _LOG_LO)])
-    return np.linspace(lo, hi, int(bins))
-
-
-def _trapezoid_weights(nodes):
-    if len(nodes) < 2:
-        return np.ones(len(nodes))
-    w = np.full(len(nodes), nodes[1] - nodes[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def _mixture_average(log_w, cell_w, grids):
-    """Ratio averages sum(w * grid)/sum(w) with max-rescaled log weights."""
-    scaled = np.exp(log_w - log_w.max()) * cell_w
-    den = scaled.sum()
-    if not np.isfinite(den) or den <= 0.0:
-        return None
-    return [float((scaled * g).sum() / den) for g in grids]
-
-
-def _diagnostics(mx, bins_a, bins_b):
-    return {
-        "alpha_star": mx.alpha_star,
-        "beta_star": mx.beta_star,
-        "std_log_alpha": mx.std_log_alpha,
-        "std_log_beta": mx.std_log_beta,
-        "grid_bins_alpha": int(bins_a),
-        "grid_bins_beta": int(bins_b),
-        "log_evidence_at_max": mx.log_objective,
-        "boundary_alpha": mx.boundary_alpha,
-        "boundary_beta": mx.boundary_beta,
-        "jacobian": "alpha*beta d(ln alpha) d(ln beta)",
-    }
 
 
 def _canonical_orientation(table):
     """Deterministic sample order for exactly swap-symmetric estimators.
 
     The squared-Hellinger construction is symmetric in the two samples,
-    but a joint numerical maximization is not bit-exact under swapping
-    them.  Computing on a canonical orientation restores exact symmetry.
+    but the quadrature sums its (alpha, beta) grid in a fixed order, so
+    swapping the samples changes the rounding of the result.  Computing
+    on a canonical orientation restores exact symmetry.
     """
     order = np.lexsort((table.n, table.m))
     n, m = table.m[order].copy(), table.n[order].copy()
@@ -315,79 +303,54 @@ def _canonical_orientation(table):
     return MultiplicityTable(n=n, m=m, nu=nu, K=table.K, N=table.M, M=table.N)
 
 
-def _dpm_report(table, divergence, bins_alpha=None, bins_beta=None):
+def _dpm_report(table, divergence):
     _check_table(table, bayes=True)
     if divergence == "hellinger2":
         table = _canonical_orientation(table)
-    K = table.K
-    mx = maximize_log_posterior(table, "dpm", divergence)
-    bins_a = bins_alpha if bins_alpha else _bins_for(K, table.N)
-    bins_b = bins_beta if bins_beta else _bins_for(K, table.M)
-    ua = _window_nodes(math.log(mx.alpha_star), mx.std_log_alpha, bins_a)
-    ub = _window_nodes(math.log(mx.beta_star), mx.std_log_beta, bins_b)
-    alphas, betas = np.exp(ua), np.exp(ub)
-    log_prior = _log_prior_for(divergence)
-    log_w = (
-        log_evidence_grid(table, alphas, 1)[:, None]
-        + log_evidence_grid(table, betas, 2)[None, :]
-        + log_prior(alphas[:, None], betas[None, :], K)
-        + ua[:, None]
-        + ub[None, :]
-    )
-    cell_w = np.outer(_trapezoid_weights(ua), _trapezoid_weights(ub))
-    diag = _diagnostics(mx, len(ua), len(ub))
-    hp_star = HyperParams(mx.alpha_star, mx.beta_star, K)
-    if divergence == "kl":
-        grids = [
-            dkl_grid(table, alphas, betas),
-            dkl_squared_grid(table, alphas, betas),
-        ]
-        averaged = _mixture_average(log_w, cell_w, grids)
-        if averaged is None:
-            diag["degenerate_grid"] = True
-            return EstimateReport(posterior_dkl(table, hp_star), 0.0, diag)
-        value, second = averaged
-        spread = math.sqrt(max(0.0, second - value * value))
-        return EstimateReport(value, spread, diag)
-    averaged = _mixture_average(
-        log_w, cell_w, [hellinger_sq_grid(table, alphas, betas)]
-    )
-    if averaged is None:
-        diag["degenerate_grid"] = True
-        return EstimateReport(posterior_hellinger_sq(table, hp_star), None, diag)
-    return EstimateReport(averaged[0], None, diag)
+    kl = divergence == "kl"
+    grid_fns = (dkl_grid, dkl_squared_grid) if kl else (hellinger_sq_grid,)
+
+    def moments(ua, ub):
+        a, b = np.exp(ua), np.exp(ub)
+        return [fn(table, a, b) for fn in grid_fns]
+
+    out, diag = _quadrature(_dpm_log_weight(table, divergence), moments, 2,
+                            _mean_std if kl else tuple)
+    return EstimateReport(out[0], out[1] if kl else None, diag)
 
 
-def estimate_dkl_dpm(table, *, bins_alpha=None, bins_beta=None):
-    """Mixture estimate of D_KL(q||t) with its posterior spread.
-
-    The bins arguments override the grid-resolution heuristic; they exist
-    for convergence diagnostics.
-    """
-    return _dpm_report(table, "kl", bins_alpha, bins_beta)
+def estimate_dkl_dpm(table):
+    """Mixture estimate of D_KL(q||t) with its posterior spread."""
+    return _dpm_report(table, "kl")
 
 
-def estimate_hellinger_dpm(table, *, bins_alpha=None, bins_beta=None):
+def estimate_hellinger_dpm(table):
     """Mixture estimate of the squared Hellinger distance DH^2(q, t)."""
-    return _dpm_report(table, "hellinger2", bins_alpha, bins_beta)
+    return _dpm_report(table, "hellinger2")
+
+
+def _dp_report(table, posterior_mean):
+    _check_table(table, bayes=True)
+    mx = maximize_log_posterior(table, "dp")
+    hp = HyperParams(mx.alpha_star, mx.beta_star, table.K)
+    diag = {
+        "alpha_star": mx.alpha_star,
+        "beta_star": mx.beta_star,
+        "log_evidence_at_max": mx.log_objective,
+        "boundary_alpha": mx.boundary_alpha,
+        "boundary_beta": mx.boundary_beta,
+    }
+    return EstimateReport(posterior_mean(table, hp), None, diag)
 
 
 def estimate_dkl_dp(table):
     """Posterior mean D_KL at the per-sample evidence maximizers."""
-    _check_table(table, bayes=True)
-    mx = maximize_log_posterior(table, "dp")
-    hp = HyperParams(mx.alpha_star, mx.beta_star, table.K)
-    return EstimateReport(posterior_dkl(table, hp), None, _diagnostics(mx, 0, 0))
+    return _dp_report(table, posterior_dkl)
 
 
 def estimate_hellinger_dp(table):
     """Posterior mean DH^2 at the per-sample evidence maximizers."""
-    _check_table(table, bayes=True)
-    mx = maximize_log_posterior(table, "dp")
-    hp = HyperParams(mx.alpha_star, mx.beta_star, table.K)
-    return EstimateReport(
-        posterior_hellinger_sq(table, hp), None, _diagnostics(mx, 0, 0)
-    )
+    return _dp_report(table, posterior_hellinger_sq)
 
 
 # --- plugins and Z --------------------------------------------------------
@@ -461,65 +424,60 @@ def estimate_dkl_zhang(table):
     return float(np.dot(nu, (n / table.N) * (cross - ent)))
 
 
+# --- dispatch ---------------------------------------------------------------
+
+def check_estimator(name, divergence):
+    """Raise ValueError unless ``name`` estimates ``divergence``."""
+    if divergence not in _DIVERGENCES:
+        raise ValueError(f"unknown divergence {divergence!r}")
+    if name not in ESTIMATOR_NAMES:
+        raise ValueError(f"unknown estimator {name!r}")
+    if name == "zhang" and divergence != "kl":
+        raise ValueError("the zhang estimator is defined for KL only")
+
+
+def estimate(table, name, divergence="kl"):
+    """Run the estimator ``name`` for ``divergence`` ("kl" or "hellinger2").
+
+    Names are "dpm", "dp", "zhang" and the plugin schemes.  Every result
+    is an EstimateReport; plugins and zhang leave its diagnostics empty.
+    """
+    check_estimator(name, divergence)
+    kl = divergence == "kl"
+    if name == "dpm":
+        return estimate_dkl_dpm(table) if kl else estimate_hellinger_dpm(table)
+    if name == "dp":
+        return estimate_dkl_dp(table) if kl else estimate_hellinger_dp(table)
+    if name == "zhang":
+        return EstimateReport(estimate_dkl_zhang(table))
+    if kl:
+        return EstimateReport(estimate_dkl_plugin(table, name))
+    return EstimateReport(estimate_hellinger_plugin(table, name))
+
+
 # --- entropy mixture (single sample) ---------------------------------------
 
 def estimate_entropy_nsb(counts, K):
     """Evidence-mixture entropy estimate for one sample of counts.
 
     The weight over alpha is evidence times the entropy-flattening prior
-    |dA/dalpha|, integrated on a log grid like the divergence mixtures.
+    |dA/dalpha|, integrated over the whole box in ln alpha by the same
+    quadrature as the divergence mixtures.
     """
     counts = np.asarray(counts)
     table = build_table(counts, np.zeros(len(counts), dtype=np.int64), K)
     _check_table(table, bayes=True)
 
-    def objective(u):
-        a = math.exp(u)
+    def log_weight(ua):
+        a = np.exp(ua)
         return (
-            log_evidence(table, a, 1)
-            + math.log(prior_entropy_slope(a, table.K))
-            + u
+            log_evidence_grid(table, a, 1)
+            + np.log(prior_entropy_slope(a, table.K))
+            + ua
         )
 
-    def fun(u_arr):
-        u = float(u_arr[0])
-        a = math.exp(u)
-        f = objective(u)
-        g = 1.0 + a * log_evidence_gradient(table, a, 1)
-        g += (
-            math.log(prior_entropy_slope(math.exp(u + _FD_STEP), table.K))
-            - math.log(prior_entropy_slope(math.exp(u - _FD_STEP), table.K))
-        ) / (2.0 * _FD_STEP)
-        return -f, np.array([-g])
+    def moments(ua):
+        return [entropy_grid(table, np.exp(ua), 1)]
 
-    u_best, f_best = _maximize(fun, 1)
-    u0 = float(u_best[0])
-    sd = _curvature_std(objective, u0)
-    bins = _bins_for(table.K, table.N)
-    ua = _window_nodes(u0, sd, bins)
-    alphas = np.exp(ua)
-    log_w = (
-        log_evidence_grid(table, alphas, 1)
-        + np.log(prior_entropy_slope(alphas, table.K))
-        + ua
-    )
-    averaged = _mixture_average(
-        log_w, _trapezoid_weights(ua), [entropy_grid(table, alphas, 1)]
-    )
-    mx = PosteriorMax(
-        alpha_star=math.exp(u0),
-        beta_star=float("nan"),
-        std_log_alpha=sd,
-        std_log_beta=float("nan"),
-        log_objective=f_best,
-        boundary_alpha=_at_edge(u0),
-    )
-    diag = _diagnostics(mx, len(ua), 0)
-    if averaged is None:
-        diag["degenerate_grid"] = True
-        from .posterior import posterior_entropy
-
-        return EstimateReport(
-            posterior_entropy(table, mx.alpha_star, 1), None, diag
-        )
-    return EstimateReport(averaged[0], None, diag)
+    (value,), diag = _quadrature(log_weight, moments, 1)
+    return EstimateReport(value, None, diag)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .counts import MultiplicityTable, double_sum_over_categories
-from .specfun import delta_psi, log_multivariate_beta, trigamma
+from .specfun import delta_psi, trigamma
 
 __all__ = [
     "HyperParams",
@@ -98,31 +98,30 @@ def prior_mean_crossentropy(beta, K):
 def log_evidence_grid(table, alphas, which_sample=1):
     """ln P(counts | alpha) over a vector of alphas, up to a constant.
 
-    Only the alpha-dependent part ln[B(counts + alpha) / B(alpha)] is
-    returned; the combinatorial factor is independent of alpha and drops
-    out of every posterior ratio.
+    The value is ln[B(counts + alpha) / B(alpha)] less every alpha-free
+    term: each ln Gamma(x + n) - ln Gamma(x) is taken as
+    ln Gamma(n) - ln B(x, n) and its ln Gamma(n) dropped, so the result is
+    -sum_i ln B(alpha, n_i) + ln B(K alpha, N) over categories with
+    n_i >= 1.  Differencing ln Gamma values of size N ln N would lose the
+    digits that separate alphas on a flat evidence; this form keeps them.
+    The dropped constant cancels in every posterior ratio.
     """
     _check_table(table)
     alphas = _grid_vec(alphas, "alphas")
     counts, total = _axis(table, which_sample)
-    K = table.K
-    x = counts[None, :] + alphas[:, None]
-    per_pair = _sp.gammaln(x) - _sp.gammaln(alphas)[:, None]
-    out = per_pair @ table.nu.astype(float)
-    out -= _sp.gammaln(total + K * alphas)
-    out += _sp.gammaln(K * alphas)
+    seen = counts > 0
+    n = counts[seen].astype(float)
+    out = -(_sp.betaln(alphas[:, None], n) @ table.nu[seen].astype(float))
+    if total > 0:
+        out += _sp.betaln(table.K * alphas, float(total))
     return out
 
 
 def log_evidence(table, alpha, which_sample=1):
     """ln P(counts | alpha) for one sample, up to an alpha-free constant."""
-    _check_table(table)
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")
-    counts, _total = _axis(table, which_sample)
-    num = log_multivariate_beta(counts + float(alpha), table.nu)
-    den = log_multivariate_beta(np.full(1, float(alpha)), np.array([table.K]))
-    return num - den
+    return float(log_evidence_grid(table, [alpha], which_sample)[0])
 
 
 def log_evidence_gradient(table, alpha, which_sample=1):

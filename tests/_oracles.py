@@ -103,3 +103,68 @@ def lgram_enumeration(spec):
             p *= spec.W[nxt, prev]
         probs[flat] = p
     return probs
+
+
+def _literal_log_evidence(counts, nu, K, alphas):
+    """ln[B(counts + alpha) / B(alpha)] as a direct sum of ln Gamma terms."""
+    from scipy.special import gammaln
+
+    counts = np.asarray(counts, dtype=float)
+    per_row = gammaln(counts[None, :] + alphas[:, None]) - gammaln(alphas)[:, None]
+    total = counts @ nu
+    return per_row @ nu - gammaln(total + K * alphas) + gammaln(K * alphas)
+
+
+def whole_box_mixture(table, kind, nodes=2049, rows=128):
+    """Brute-force trapezoid posterior averages over the whole box.
+
+    Integrates on ``nodes`` evenly spaced points per axis in ln alpha (and
+    ln beta) over [ln 1e-6, ln 1e6], with the weight evidence x hyper-prior
+    x Jacobian.  ``kind`` is "kl" (returns mean and std), "hellinger2"
+    (mean, None) or "entropy" (the one-sample NSB mean of table.n, None).
+    Moment grids are evaluated ``rows`` alpha rows at a time.  They and
+    the hyper-prior come from the library, which other tests check
+    against Monte Carlo and mpmath; what this checks is the quadrature.
+    """
+    from bayesdiv.hyperprior import (
+        log_weight_hellinger,
+        log_weight_kl,
+        prior_entropy_slope,
+    )
+    from bayesdiv.posterior import (
+        dkl_grid,
+        dkl_squared_grid,
+        entropy_grid,
+        hellinger_sq_grid,
+    )
+
+    u = np.linspace(math.log(1e-6), math.log(1e6), nodes)
+    a = np.exp(u)
+    trap = np.ones(nodes)
+    trap[[0, -1]] = 0.5
+    nu = table.nu.astype(float)
+    ev_a = _literal_log_evidence(table.n, nu, table.K, a)
+    if kind == "entropy":
+        log_w = ev_a + np.log(prior_entropy_slope(a, table.K)) + u
+        w = np.exp(log_w - log_w.max()) * trap
+        return float(w @ entropy_grid(table, a, 1) / w.sum()), None
+    ev_b = _literal_log_evidence(table.m, nu, table.K, a)
+    log_prior = log_weight_kl if kind == "kl" else log_weight_hellinger
+    log_w = (
+        ev_a[:, None] + ev_b[None, :] + log_prior(a[:, None], a[None, :], table.K)
+        + u[:, None] + u[None, :]
+    )
+    w = np.exp(log_w - log_w.max()) * np.outer(trap, trap)
+    first = second = 0.0
+    for lo in range(0, nodes, rows):
+        block = slice(lo, lo + rows)
+        if kind == "kl":
+            first += float((w[block] * dkl_grid(table, a[block], a)).sum())
+            second += float((w[block] * dkl_squared_grid(table, a[block], a)).sum())
+        else:
+            first += float((w[block] * hellinger_sq_grid(table, a[block], a)).sum())
+    total = float(w.sum())
+    mean = first / total
+    if kind == "kl":
+        return mean, math.sqrt(max(0.0, second / total - mean * mean))
+    return mean, None

@@ -8,9 +8,9 @@ import pytest
 from bayesdiv.counts import build_table
 from bayesdiv.estimators import (
     PLUGIN_SCHEMES,
-    _bins_for,
     _mixture_average,
     _pseudo_counts,
+    estimate,
     estimate_dkl_dp,
     estimate_dkl_dpm,
     estimate_dkl_plugin,
@@ -30,7 +30,7 @@ from bayesdiv.synth import (
     sample_multinomial,
 )
 
-from _oracles import random_count_pair, zhang_series
+from _oracles import expand_counts, random_count_pair, whole_box_mixture, zhang_series
 
 
 def _dirichlet_table(K, size, seed, alpha=1.0, beta=1.0):
@@ -40,18 +40,6 @@ def _dirichlet_table(K, size, seed, alpha=1.0, beta=1.0):
     n = sample_multinomial(q, size, rng)
     m = sample_multinomial(t, size, rng)
     return build_table(n, m, K), q, t
-
-
-# --- grid-size heuristic -------------------------------------------------------
-
-def test_bins_heuristic_values():
-    assert _bins_for(400, 25) == 2000   # clamped above
-    assert _bins_for(400, 50) == 640
-    assert _bins_for(400, 100) == 160
-    assert _bins_for(400, 200) == 40
-    assert _bins_for(400, 400) == 20    # clamped below
-    assert _bins_for(400, 40000) == 20
-    assert _bins_for(400, 0) == 2000    # empty sample gets the widest grid
 
 
 # --- plugins ----------------------------------------------------------------------
@@ -171,7 +159,20 @@ def test_dp_empty_table_flags_boundaries():
     table = build_table([], [], 50)
     mx = maximize_log_posterior(table, "dp")
     assert mx.boundary_alpha and mx.boundary_beta
-    assert mx.std_log_alpha == 1.0 and mx.std_log_beta == 1.0
+    assert mx.alpha_star == 1.0 and mx.beta_star == 1.0
+
+
+def test_dp_maximizer_resolves_a_flat_evidence():
+    # The evidence of n is nearly flat in alpha: neighbouring alphas differ
+    # by less than the rounding of a direct ln Gamma sum.  Its maximum,
+    # found with mpmath and by bisection on the analytic gradient, is at
+    # alpha* = 196.340.
+    n = np.array([2, 2] + [1] * 196 + [0] * 2)
+    m = np.array([1] * 198 + [0] * 2)
+    table = build_table(n, m, 10_000)
+    mx = maximize_log_posterior(table, "dp")
+    assert mx.alpha_star == pytest.approx(196.340, rel=1e-3)
+    assert not mx.boundary_alpha
 
 
 def test_dpm_and_dp_maximizers_differ_at_small_samples():
@@ -195,24 +196,34 @@ def test_maximize_rejects_unknown_weight():
 def test_mixture_average_invariant_under_log_weight_shift():
     rng = np.random.default_rng(9)
     log_w = rng.normal(size=(40, 30))
-    cells = np.outer(np.full(40, 0.1), np.full(30, 0.2))
     grids = [rng.uniform(1, 2, size=(40, 30))]
-    base = _mixture_average(log_w, cells, grids)[0]
+    base = _mixture_average(log_w, grids)[0]
     for shift in (-700.0, -3.2, 250.0):
-        shifted = _mixture_average(log_w + shift, cells, grids)[0]
+        shifted = _mixture_average(log_w + shift, grids)[0]
         assert shifted == pytest.approx(base, rel=1e-12)
 
 
-def test_dpm_grid_doubling_is_stable():
-    for seed in range(20):
-        table, _, _ = _dirichlet_table(400, 100, 100 + seed)
-        base = estimate_dkl_dpm(table)
-        doubled = estimate_dkl_dpm(
-            table,
-            bins_alpha=2 * base.diagnostics["grid_bins_alpha"],
-            bins_beta=2 * base.diagnostics["grid_bins_beta"],
+def test_dpm_and_nsb_match_whole_box_oracle():
+    tables = {
+        "K=400 N=25": _dirichlet_table(400, 25, 31)[0],
+        "K=400 N=100": _dirichlet_table(400, 100, 32)[0],
+        "K=400 empty": build_table([], [], 400),
+        "K=2 disjoint": build_table([3, 0], [0, 3], 2),
+    }
+    for label, table in tables.items():
+        runs = (
+            ("kl", estimate_dkl_dpm(table)),
+            ("hellinger2", estimate_hellinger_dpm(table)),
+            ("entropy", estimate_entropy_nsb(expand_counts(table)[0], table.K)),
         )
-        assert doubled.value == pytest.approx(base.value, rel=5e-3)
+        for kind, report in runs:
+            want, want_std = whole_box_mixture(table, kind)
+            err = report.diagnostics["quad_error"]
+            assert abs(report.value - want) <= max(2 * err, 1e-5 * abs(want)), (
+                label, kind, report.value, want, err)
+            if want_std is not None:
+                assert abs(report.posterior_std - want_std) <= max(
+                    2 * err, 1e-5 * want_std), (label, report.posterior_std, want_std)
 
 
 def test_dpm_matches_dp_at_large_samples():
@@ -235,8 +246,12 @@ def test_dpm_report_contract():
         "log_evidence_at_max",
         "boundary_alpha",
         "boundary_beta",
+        "quad_error",
+        "edge_mass",
     ):
         assert key in report.diagnostics
+    assert 0.0 <= report.diagnostics["quad_error"] <= 1e-6 * report.value
+    assert 0.0 <= report.diagnostics["edge_mass"] <= 1.0
     assert estimate_dkl_dp(table).posterior_std is None
     assert estimate_hellinger_dpm(table).posterior_std is None
     assert estimate_hellinger_dp(table).posterior_std is None
@@ -278,6 +293,24 @@ def test_dpm_converges_on_dirichlet_truth():
     table, q, t = _dirichlet_table(400, 10_000, 123)
     report = estimate_dkl_dpm(table)
     assert report.value == pytest.approx(exact_dkl(q, t), rel=0.05)
+
+
+# --- dispatch -------------------------------------------------------------------------
+
+def test_estimate_dispatches_on_name_and_divergence():
+    table = build_table([3, 1, 0, 2], [1, 1, 2, 0], 4)
+    zhang = estimate(table, "zhang")
+    assert zhang.value == estimate_dkl_zhang(table) and zhang.diagnostics == {}
+    for scheme in PLUGIN_SCHEMES:
+        report = estimate(table, scheme, "hellinger2")
+        assert report.value == estimate_hellinger_plugin(table, scheme)
+        assert report.posterior_std is None and report.diagnostics == {}
+    assert estimate(table, "dpm").value == estimate_dkl_dpm(table).value
+    dp = estimate(table, "dp", "hellinger2")
+    assert dp.value == estimate_hellinger_dp(table).value
+    for name, divergence in (("zhang", "hellinger2"), ("mle", "kl"), ("dpm", "tv")):
+        with pytest.raises(ValueError):
+            estimate(table, name, divergence)
 
 
 # --- NSB entropy -----------------------------------------------------------------------

@@ -59,7 +59,8 @@ def test_bhattacharyya_factor_range_and_monotonicity(K):
 @pytest.mark.parametrize("K", [2, 50, 400])
 def test_bhattacharyya_log_slope_matches_finite_differences(K):
     # differencing ln g is well conditioned at small x; beyond that the
-    # betaln round-off drowns the 1/x^2 slope and mpmath takes over below
+    # slope shrinks like 1/x^2 below the finite-difference round-off, and
+    # mpmath takes over below
     xs = 10.0 ** np.linspace(-3, 0.5, 15)
     h = 1e-5 * xs
     fd = (
@@ -84,6 +85,34 @@ def test_bhattacharyya_log_slope_matches_mpmath_at_large_x(K):
         )
         got = float(bhattacharyya_factor_log_slope(x, K))
         assert got == pytest.approx(truth, rel=1e-10)
+
+
+@pytest.mark.parametrize("K", [2, 10**7])
+def test_log_weight_hellinger_matches_mpmath_near_the_large_corner(K):
+    # 1 - g(alpha) g(beta) shrinks like 1/alpha + 1/beta; ln g must keep its
+    # relative precision there, or the weight turns noisy toward (1e6, 1e6)
+    import mpmath
+
+    mpmath.mp.dps = 50
+    half = mpmath.mpf(1) / 2
+
+    def log_g(x):
+        ratio = mpmath.beta(half, K * x) / mpmath.beta(half, x)
+        return mpmath.log(mpmath.sqrt(K) * ratio)
+
+    def slope(x):
+        return (mpmath.digamma(x + half) - mpmath.digamma(x)
+                - K * (mpmath.digamma(K * x + half) - mpmath.digamma(K * x)))
+
+    for alpha, beta in ((1e3, 1e6), (1e6, 1e6), (3.0, 1e6)):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        log_gg = log_g(a) + log_g(b)
+        z = -mpmath.expm1(log_gg)
+        truth = float(
+            log_gg + mpmath.log(slope(a)) + mpmath.log(slope(b))
+            + 2 * log_gg - 2 * mpmath.log(z) - mpmath.log(2 - z)
+        )
+        assert log_weight_hellinger(alpha, beta, K) == pytest.approx(truth, rel=1e-9)
 
 
 def test_bhattacharyya_log_slope_positive():

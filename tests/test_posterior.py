@@ -71,6 +71,29 @@ def test_log_evidence_grid_matches_scalar():
         np.testing.assert_allclose(grid, scalar, rtol=1e-11, atol=1e-9)
 
 
+@pytest.mark.parametrize("K", [10**4, 10**7])
+def test_log_evidence_grid_matches_mpmath_at_large_concentrations(K):
+    # the documented value: -sum_i nu ln B(alpha, n_i) + ln B(K alpha, N)
+    import mpmath
+
+    mpmath.mp.dps = 60
+    counts = np.zeros(5, dtype=np.int64)
+    counts[:4] = [10**12, 10**7, 7, 1]
+    table = build_table(counts, counts, K)
+    for alpha in (1e3, 1e6):
+        a = mpmath.mpf(alpha)
+
+        def log_b(x, y):
+            return mpmath.loggamma(x) + mpmath.loggamma(y) - mpmath.loggamma(x + y)
+
+        truth = log_b(K * a, table.N)
+        for n, nu in zip(table.n.tolist(), table.nu.tolist()):
+            if n:
+                truth -= nu * log_b(a, n)
+        got = float(log_evidence_grid(table, [alpha], 1)[0])
+        assert abs(got - float(truth)) <= 1e-9 * max(1.0, abs(float(truth)))
+
+
 def test_log_evidence_gradient_matches_finite_differences():
     table = build_table([5, 2, 0, 1], [1, 1, 3, 0], 6)
     for which in (1, 2):
