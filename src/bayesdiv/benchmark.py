@@ -9,10 +9,14 @@ inside it for every larger size.
 
 Everything is deterministic for a fixed master seed: repetitions get
 independent child seeds, rows are sorted before writing, and worker
-pools only change where the work runs, not its result.
+pools only change where the work runs, not its result.  Each pool
+worker runs its BLAS on one thread, so that workers x BLAS threads do
+not oversubscribe the cores.
 """
 
 import csv
+import ctypes
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -180,6 +184,57 @@ def _rep_rows_star(args):
     return _rep_rows(*args)
 
 
+def _openblas_libraries():
+    """Every OpenBLAS copy mapped into this process, as ctypes handles.
+
+    numpy and scipy each ship their own copy (``numpy.libs`` and
+    ``scipy.libs``).  They are found through /proc/self/maps; where that
+    file does not exist, the list is empty.
+    """
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+                    paths.add(fields[5].strip())
+    except OSError:
+        return []
+    libs = []
+    for path in sorted(paths):
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            pass
+    return libs
+
+
+def _openblas_function(lib, verb):
+    """``<prefix>openblas_<verb>_num_threads<suffix>`` of one copy, or None.
+
+    Wheels rename the exports: numpy's copy carries a ``scipy_`` prefix
+    and a ``64_`` suffix for its 64-bit integer interface.
+    """
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _single_blas_thread():
+    """Pool initializer: run every OpenBLAS copy in this worker on one thread."""
+    for lib in _openblas_libraries():
+        fn = _openblas_function(lib, "set")
+        if fn is not None:
+            fn(1)
+
+
+def _pool(workers):
+    return ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread)
+
+
 def run_convergence(config):
     """Run the full ladder x repetition grid; returns sorted rows."""
     root = np.random.SeedSequence(config.master_seed)
@@ -192,7 +247,7 @@ def run_convergence(config):
         (config, spec_q, spec_t, rep, seed) for rep, seed in enumerate(rep_seeds)
     ]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with _pool(config.workers) as pool:
             chunks = list(pool.map(_rep_rows_star, tasks))
     else:
         chunks = [_rep_rows(*task) for task in tasks]

@@ -36,6 +36,7 @@ from .posterior import (
     entropy_grid,
     hellinger_sq_grid,
     log_evidence,
+    log_evidence_curvature,
     log_evidence_grid,
     log_evidence_gradient,
     posterior_dkl,
@@ -69,6 +70,7 @@ _MAX_SCANS = 40       # an unfilled window shrinks to at most 17/32 per rescan
 _FIRST_NODES = 33     # per axis, on the first quadrature level
 _MAX_NODES = 1025     # per axis, on the last level allowed
 _QUAD_TOL = 1e-6      # relative agreement of a level with its subgrid
+_DP_TOL = 1e-12       # bracket width in ln alpha of a dp evidence maximum
 
 PLUGIN_SCHEMES = ("naive", "jeffreys", "trybula", "perks")
 ESTIMATOR_NAMES = ("dpm", "dp") + PLUGIN_SCHEMES + ("zhang",)
@@ -237,13 +239,59 @@ def _mean_std(averages):
     return first, math.sqrt(max(0.0, second - first * first))
 
 
+def _rising(table, us, which):
+    """Where the evidence gradient is positive, at the nodes ``us`` of ln alpha."""
+    return log_evidence_gradient(table, np.exp(us), which) > 0.0
+
+
+def _evidence_argmax(table, which):
+    """ln alpha of one sample's evidence maximum, bracketed to _DP_TOL.
+
+    The bracket [lo, hi] keeps the gradient rising at lo and not at hi,
+    unless that end is the box edge.  A whole-box scan brackets the best
+    node.  From there, Newton steps in ln alpha, with the trigamma
+    curvature, move an iterate whose gradient sign shrinks the bracket.
+    A step that leaves the bracket or fails to halve is replaced by a
+    gradient-sign scan of the bracket on _SCAN_NODES inner nodes.  Once a
+    step falls below _DP_TOL / 2, a probe on each side closes the bracket.
+    """
+    u = np.linspace(_LOG_LO, _LOG_HI, _SCAN_NODES)
+    i = int(np.argmax(log_evidence_grid(table, np.exp(u), which)))
+    lo, hi = float(u[max(i - 1, 0)]), float(u[min(i + 1, len(u) - 1)])
+    x, last_step = float(u[i]), hi - lo
+    while True:
+        a = math.exp(x)
+        g = log_evidence_gradient(table, a, which)
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= _DP_TOL:
+            return 0.5 * (lo + hi)
+        # Newton on s(u) = a g(a), whose slope is a g + a^2 g'(a)
+        slope = a * g + a * a * log_evidence_curvature(table, a, which)
+        step = -a * g / slope if slope < 0.0 else math.inf
+        if abs(step) < 0.5 * _DP_TOL:
+            probes = x + step + np.array([-0.4, 0.4]) * _DP_TOL
+            if tuple(_rising(table, probes, which)) == (True, False):
+                return x + step
+        elif lo < x + step < hi and abs(step) < 0.5 * last_step:
+            x, last_step = x + step, abs(step)
+            continue
+        u = np.linspace(lo, hi, _SCAN_NODES + 2)[1:-1]
+        rising = _rising(table, u, which)
+        j = int(np.argmin(rising)) if not rising.all() else len(u)
+        lo, hi = (float(u[j - 1]) if j > 0 else lo), (float(u[j]) if j < len(u) else hi)
+        x, last_step = 0.5 * (lo + hi), hi - lo
+
+
 def maximize_log_posterior(table, weight="dpm", divergence="kl"):
     """Maximize the evidence ("dp") or evidence + hyper-prior ("dpm").
 
     Works in (ln alpha, ln beta) over the box [1e-6, 1e6]^2.  For "dp"
-    the objective separates: each coordinate is bracketed by the best
-    node of a whole-box scan and then bisected on the sign of the
-    analytic evidence gradient.  An empty sample leaves its coordinate
+    the objective separates: each coordinate's maximum is bracketed to
+    1e-12 in ln alpha on the sign of the analytic evidence gradient (see
+    ``_evidence_argmax``).  An empty sample leaves its coordinate
     flat: it is pinned at 1.0 and flagged as boundary.  For "dpm" the
     result is the best node of the quadrature's scan, with
     ``boundary_*`` set when the integration window reaches the box edge.
@@ -260,16 +308,7 @@ def maximize_log_posterior(table, weight="dpm", divergence="kl"):
         if total == 0:
             out.append((1.0, 0.0, True))
             continue
-        u = np.linspace(_LOG_LO, _LOG_HI, _SCAN_NODES)
-        i = int(np.argmax(log_evidence_grid(table, np.exp(u), which)))
-        lo, hi = float(u[max(i - 1, 0)]), float(u[min(i + 1, len(u) - 1)])
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if log_evidence_gradient(table, math.exp(mid), which) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        u_star = 0.5 * (lo + hi)
+        u_star = _evidence_argmax(table, which)
         a_star = math.exp(u_star)
         out.append((a_star, log_evidence(table, a_star, which), _at_edge(u_star)))
     (a_star, f_a, edge_a), (b_star, f_b, edge_b) = out

@@ -76,7 +76,8 @@ def log_weight_kl(alpha, beta, K):
     b = _positive(beta, "beta")
     K = _check_K(K)
     z = prior_mean_crossentropy(b, K) - prior_mean_entropy(a, K)
-    assert np.all(z > 0), "prior mean cross-entropy must exceed mean entropy"
+    if not np.all(z > 0):
+        raise ValueError("prior mean cross-entropy must exceed mean entropy")
     out = (
         np.log(prior_entropy_slope(a, K))
         + np.log(-prior_crossentropy_slope(b, K))
@@ -146,10 +147,12 @@ def log_weight_hellinger(alpha, beta, K):
     lg_a, lg_b = _log_g(a, K), _log_g(b, K)
     log_one_minus_z = lg_a + lg_b                    # ln(g g) <= 0
     z = -np.expm1(log_one_minus_z)                   # 1 - g g, in (0, 1)
-    assert np.all((z > 0) & (z < 1)), "1 - g(alpha) g(beta) must lie in (0,1)"
+    if not np.all((z > 0) & (z < 1)):
+        raise ValueError("1 - g(alpha) g(beta) must lie in (0, 1)")
     slope_a = bhattacharyya_factor_log_slope(a, K)
     slope_b = bhattacharyya_factor_log_slope(b, K)
-    assert np.all(slope_a > 0) and np.all(slope_b > 0)
+    if not (np.all(slope_a > 0) and np.all(slope_b > 0)):
+        raise ValueError("g must increase in alpha and in beta")
     # |dg/dx| = g * dlng/dx; target density rho(z)(1-z)^2/(z(2-z)) with
     # rho(z) ~ 1/z
     out = (

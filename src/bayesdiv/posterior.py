@@ -125,15 +125,33 @@ def log_evidence(table, alpha, which_sample=1):
 
 
 def log_evidence_gradient(table, alpha, which_sample=1):
-    """d/d(alpha) of log_evidence; analytic, cancellation-safe."""
+    """d/d(alpha) of log_evidence; analytic, cancellation-safe.
+
+    ``alpha`` may be a scalar or a 1-d array; the result has its shape.
+    """
     _check_table(table)
+    a = np.asarray(alpha, dtype=float)
+    av = _grid_vec(a, "alpha")
     counts, total = _axis(table, which_sample)
     K = table.K
     nz = counts > 0
-    per_pair = float(np.dot(
-        table.nu[nz], delta_psi(counts[nz] + float(alpha), float(alpha))
-    )) if nz.any() else 0.0
-    return per_pair - K * delta_psi(total + K * float(alpha), K * float(alpha))
+    out = -K * delta_psi(total + K * av, K * av)
+    if nz.any():
+        per_pair = delta_psi(counts[nz][None, :] + av[:, None], av[:, None])
+        out += per_pair @ table.nu[nz].astype(float)
+    return float(out[0]) if a.ndim == 0 else out
+
+
+def log_evidence_curvature(table, alpha, which_sample=1):
+    """d^2/d(alpha)^2 of log_evidence at one alpha, as trigamma differences."""
+    _check_table(table)
+    counts, total = _axis(table, which_sample)
+    K, a = table.K, float(alpha)
+    nz = counts > 0
+    out = -K * K * (trigamma(total + K * a) - trigamma(K * a))
+    if nz.any():
+        out += float(table.nu[nz] @ (trigamma(counts[nz] + a) - trigamma(a)))
+    return float(out)
 
 
 # --- first moments --------------------------------------------------------

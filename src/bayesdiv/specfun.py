@@ -91,7 +91,6 @@ def log_multivariate_beta(values, multiplicities=None):
 # the *difference*, which is free of cancellation term by term.
 
 _RAISE_TO = 18.0
-_MAX_TELESCOPE = 10_000
 
 
 def _delta_psi_kernel(big, small, gap):
@@ -122,30 +121,15 @@ def _delta_psi_kernel(big, small, gap):
 def delta_psi(z1, z2):
     """psi(z1) - psi(z2), accurate even when z1 and z2 nearly coincide.
 
-    Exact telescoping sum(1/(z2+k)) is used when z1 - z2 is a non-negative
-    integer up to 10^4 (the dominant case: count differences); otherwise the
-    paired recurrence/asymptotic-difference kernel.
+    Scalars and arrays (broadcast together) take the same route: the
+    paired recurrence/asymptotic-difference kernel above.
     """
-    scalar = np.ndim(z1) == 0 and np.ndim(z2) == 0
     a1 = _validate_positive(z1, "z1")
     a2 = _validate_positive(z2, "z2")
-    if scalar:
-        x1, x2 = float(a1), float(a2)
-        if x1 == x2:
-            return 0.0
-        sign = 1.0
-        if x1 < x2:
-            x1, x2, sign = x2, x1, -1.0
-        gap = x1 - x2
-        if gap <= _MAX_TELESCOPE and gap == math.floor(gap):
-            return sign * math.fsum(1.0 / (x2 + k) for k in range(int(gap)))
-        out = _delta_psi_kernel(
-            np.array([x1]), np.array([x2]), np.array([gap])
-        )
-        return sign * float(out[0])
     b1, b2 = np.broadcast_arrays(a1, a2)
-    big = np.maximum(b1, b2).astype(float)
-    small = np.minimum(b1, b2).astype(float)
-    sign = np.sign(b1 - b2)
-    out = _delta_psi_kernel(big.copy(), small.copy(), big - small)
-    return sign * out
+    big = np.maximum(b1, b2)
+    small = np.minimum(b1, b2)
+    out = np.sign(b1 - b2) * _delta_psi_kernel(big, small, big - small)
+    if np.ndim(z1) == 0 and np.ndim(z2) == 0:
+        return float(out)
+    return out

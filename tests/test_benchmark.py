@@ -1,10 +1,12 @@
 """Tests for the convergence benchmark harness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bayesdiv import benchmark
 from bayesdiv.benchmark import (
     DEFAULT_LADDER,
     ESTIMATOR_NAMES,
@@ -137,6 +139,27 @@ def test_run_deterministic_across_calls_and_workers():
 
     rows_c = run_convergence(replace(SMALL, workers=2))
     assert rows_a == rows_c
+
+
+def _blas_threads():
+    """OpenBLAS thread count of every copy loaded in the calling process."""
+    libs = benchmark._openblas_libraries()
+    return [benchmark._openblas_function(lib, "get")() for lib in libs]
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"].endswith("openblas"):
+        names = [lib._name for lib in benchmark._openblas_libraries()]
+        assert any("numpy" in name for name in names), names
+    with benchmark._pool(2) as pool:
+        counts = pool.submit(_blas_threads).result()
+    assert all(count == 1 for count in counts)
+
+
+def test_run_convergence_keeps_the_callers_blas_threads():
+    before = _blas_threads()
+    run_convergence(replace(SMALL, workers=2))
+    assert _blas_threads() == before
 
 
 def test_nested_subsample_deterministic():

@@ -21,7 +21,7 @@ from bayesdiv.estimators import (
     estimate_hellinger_plugin,
     maximize_log_posterior,
 )
-from bayesdiv.posterior import HyperParams, posterior_dkl
+from bayesdiv.posterior import HyperParams, log_evidence_gradient, posterior_dkl
 from bayesdiv.specfun import delta_psi
 from bayesdiv.synth import (
     build_markov_spec,
@@ -173,6 +173,24 @@ def test_dp_maximizer_resolves_a_flat_evidence():
     mx = maximize_log_posterior(table, "dp")
     assert mx.alpha_star == pytest.approx(196.340, rel=1e-3)
     assert not mx.boundary_alpha
+
+
+def test_dp_maximum_sits_on_a_gradient_sign_change():
+    # each coordinate lies within 1e-12 in ln alpha of where the evidence
+    # gradient stops rising, or at the box edge the gradient points past
+    for N in (25, 100, 1000, 10_000, 40_000):
+        table, _, _ = _dirichlet_table(400, N, 3)
+        mx = maximize_log_posterior(table, "dp")
+        for which, star, edge in ((1, mx.alpha_star, mx.boundary_alpha),
+                                  (2, mx.beta_star, mx.boundary_beta)):
+            u = math.log(star) + np.array([-1e-12, 1e-12])
+            left, right = log_evidence_gradient(table, np.exp(u), which)
+            if not edge:
+                assert left > 0.0 >= right, (N, which)
+            elif star > 1.0:
+                assert left > 0.0, (N, which)
+            else:
+                assert right <= 0.0, (N, which)
 
 
 def test_dpm_and_dp_maximizers_differ_at_small_samples():

@@ -233,3 +233,32 @@ def test_extreme_corners_stay_finite():
             for b in (1e-6, 1e6):
                 assert np.isfinite(log_weight_kl(a, b, K))
                 assert np.isfinite(log_weight_hellinger(a, b, K))
+
+
+# --- validation survives python -O ---------------------------------------------
+#
+# The checks guard identities that hold for every valid (alpha, beta, K), so
+# each test breaks one building block to reach its check.
+
+def test_kl_weight_rejects_entropy_above_crossentropy(monkeypatch):
+    import bayesdiv.hyperprior as hp
+
+    monkeypatch.setattr(hp, "prior_mean_entropy", lambda a, K: a * 0.0 + 100.0)
+    with pytest.raises(ValueError, match="cross-entropy"):
+        log_weight_kl(1.0, 1.0, 400)
+
+
+def test_hellinger_weight_rejects_z_outside_unit_interval(monkeypatch):
+    import bayesdiv.hyperprior as hp
+
+    monkeypatch.setattr(hp, "_log_g", lambda x, K: x * 0.0)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        log_weight_hellinger(1.0, 1.0, 400)
+
+
+def test_hellinger_weight_rejects_decreasing_g(monkeypatch):
+    import bayesdiv.hyperprior as hp
+
+    monkeypatch.setattr(hp, "bhattacharyya_factor_log_slope", lambda x, K: x * 0.0 - 1.0)
+    with pytest.raises(ValueError, match="increase"):
+        log_weight_hellinger(1.0, 1.0, 400)

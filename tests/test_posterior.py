@@ -15,6 +15,7 @@ from bayesdiv.posterior import (
     entropy_grid,
     hellinger_sq_grid,
     log_evidence,
+    log_evidence_curvature,
     log_evidence_grid,
     log_evidence_gradient,
     posterior_dkl,
@@ -106,6 +107,31 @@ def test_log_evidence_gradient_matches_finite_differences():
             got = log_evidence_gradient(table, alpha, which)
             # the FD oracle itself carries ~1e-6 relative cancellation noise
             assert got == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_log_evidence_gradient_accepts_alpha_vectors():
+    table = build_table([5, 2, 0, 1, 40], [1, 1, 3, 0, 0], 9)
+    alphas = np.array([1e-6, 0.05, 1.0, 40.0, 1e6])
+    for which in (1, 2):
+        got = log_evidence_gradient(table, alphas, which)
+        assert got.shape == alphas.shape
+        want = [log_evidence_gradient(table, float(a), which) for a in alphas]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    empty = build_table([0, 0], [0, 0], 2)
+    np.testing.assert_array_equal(log_evidence_gradient(empty, alphas), 0.0)
+
+
+def test_log_evidence_curvature_matches_gradient_differences():
+    table = build_table([5, 2, 0, 1], [1, 1, 3, 0], 6)
+    for which in (1, 2):
+        for alpha in (0.05, 1.0, 40.0):
+            h = 1e-5 * alpha
+            fd = (
+                log_evidence_gradient(table, alpha + h, which)
+                - log_evidence_gradient(table, alpha - h, which)
+            ) / (2 * h)
+            got = log_evidence_curvature(table, alpha, which)
+            assert got == pytest.approx(fd, rel=1e-7)
 
 
 # --- prior means --------------------------------------------------------------

@@ -149,6 +149,21 @@ def test_delta_psi_against_mpmath_worst_cases():
         assert got == pytest.approx(truth, rel=2e-13, abs=1e-15), (z1, z2)
 
 
+def test_delta_psi_integer_gaps_match_mpmath():
+    # count differences: integer gaps up to 1e4 above bases from 1e-6 to 3e4,
+    # with scalar and array calls taking the same route
+    worst = 0.0
+    for gap in (1, 2, 7, 100, 1000, 10_000):
+        for small in np.geomspace(1e-6, 3e4, 25):
+            small = float(small)
+            big = small + gap
+            truth = float(mpmath.digamma(big) - mpmath.digamma(small))
+            got = delta_psi(big, small)
+            assert got == delta_psi(np.array([big]), np.array([small]))[0]
+            worst = max(worst, abs(got - truth) / truth)
+    assert worst <= 2e-14
+
+
 def test_delta_psi_broadcasts():
     z1 = np.array([2.0, 3.0, 4.0])
     out = delta_psi(z1, 1.0)
