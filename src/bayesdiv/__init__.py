@@ -11,23 +11,14 @@ generators and a convergence benchmark harness.
 from .benchmark import (
     ESTIMATOR_NAMES,
     ExperimentConfig,
-    Row,
     compute_nstar,
-    read_rows_csv,
     run_convergence,
-    run_nstar,
-    write_nstar_csv,
     write_rows_csv,
 )
-from .counts import (
-    MultiplicityTable,
-    build_table,
-    load_count_files,
-)
+from .counts import MultiplicityTable, build_table, load_count_files
 from .estimators import (
-    PLUGIN_SCHEMES,
     EstimateReport,
-    PosteriorMax,
+    estimate,
     estimate_dkl_dp,
     estimate_dkl_dpm,
     estimate_dkl_plugin,
@@ -36,26 +27,18 @@ from .estimators import (
     estimate_hellinger_dp,
     estimate_hellinger_dpm,
     estimate_hellinger_plugin,
-    maximize_log_posterior,
 )
-from .hyperprior import log_weight_hellinger, log_weight_kl
 from .posterior import (
     HyperParams,
     log_evidence,
     posterior_dkl,
-    posterior_dkl_squared,
-    posterior_entropy,
-    posterior_hellinger_sq,
     prior_mean_crossentropy,
     prior_mean_entropy,
 )
 from .synth import (
-    MarkovChainSpec,
     build_markov_spec,
-    exact_crossentropy,
     exact_dkl,
     exact_entropy,
-    exact_hellinger_sq,
     lgram_distribution,
     markov_crossentropy,
     markov_entropy,
@@ -71,14 +54,11 @@ __all__ = [
     "EstimateReport",
     "ExperimentConfig",
     "HyperParams",
-    "MarkovChainSpec",
     "MultiplicityTable",
-    "PLUGIN_SCHEMES",
-    "PosteriorMax",
-    "Row",
     "build_markov_spec",
     "build_table",
     "compute_nstar",
+    "estimate",
     "estimate_dkl_dp",
     "estimate_dkl_dpm",
     "estimate_dkl_plugin",
@@ -87,31 +67,20 @@ __all__ = [
     "estimate_hellinger_dp",
     "estimate_hellinger_dpm",
     "estimate_hellinger_plugin",
-    "exact_crossentropy",
     "exact_dkl",
     "exact_entropy",
-    "exact_hellinger_sq",
     "lgram_distribution",
     "load_count_files",
     "log_evidence",
-    "log_weight_hellinger",
-    "log_weight_kl",
     "markov_crossentropy",
     "markov_entropy",
-    "maximize_log_posterior",
     "posterior_dkl",
-    "posterior_dkl_squared",
-    "posterior_entropy",
-    "posterior_hellinger_sq",
     "prior_mean_crossentropy",
     "prior_mean_entropy",
-    "read_rows_csv",
     "run_convergence",
-    "run_nstar",
     "sample_dirichlet",
     "sample_lgrams",
     "sample_multinomial",
-    "write_nstar_csv",
     "write_rows_csv",
     "__version__",
 ]

@@ -21,8 +21,6 @@ from .counts import load_count_files
 __all__ = ["main"]
 
 _GENERATORS = ("dirichlet", "markov")
-_DIVERGENCES = ("kl", "hellinger2")
-_ESTIMATE_CHOICES = benchmark.ESTIMATOR_NAMES
 
 
 def _ints(text):
@@ -58,78 +56,52 @@ def _parse_config_file(path):
     return out
 
 
-# configuration keys shared by convergence and nstar, with coercers for
-# values arriving as strings from a config file
+# configuration keys shared by convergence and nstar: the ExperimentConfig
+# field each one sets (None for the output path) and the coercer for values
+# arriving as strings from a config file.  Unset keys keep the field default.
 _CONFIG_KEYS = {
-    "generator": str,
-    "k": int,
-    "states": int,
-    "gram_length": int,
-    "alpha": str,
-    "beta": str,
-    "ladder": _ints,
-    "reps": int,
-    "estimator": _names,
-    "divergence": str,
-    "seed": int,
-    "out": str,
-    "nested_subsample": _bool,
-    "parent_size": int,
-    "workers": int,
-}
-
-_DEFAULTS = {
-    "generator": "dirichlet",
-    "k": 400,
-    "states": 20,
-    "gram_length": 2,
-    "alpha": "1.0",
-    "beta": "1.0",
-    "ladder": benchmark.DEFAULT_LADDER,
-    "reps": 10,
-    "estimator": benchmark.ESTIMATOR_NAMES,
-    "divergence": "kl",
-    "seed": 0,
-    "out": None,
-    "nested_subsample": False,
-    "parent_size": None,
-    "workers": 1,
+    "generator": ("generator", str),
+    "k": ("K", int),
+    "states": ("states", int),
+    "gram_length": ("gram_length", int),
+    "alpha": ("alpha_true", _floats),
+    "beta": ("beta_true", _floats),
+    "ladder": ("size_ladder", _ints),
+    "reps": ("repetitions", int),
+    "estimator": ("estimators", _names),
+    "divergence": ("divergence", str),
+    "seed": ("master_seed", int),
+    "out": (None, str),
+    "nested_subsample": ("nested_subsample", _bool),
+    "parent_size": ("parent_size", int),
+    "workers": ("workers", int),
 }
 
 
 def _merge_settings(args):
-    """Defaults, then config file, then explicit flags."""
-    merged = dict(_DEFAULTS)
+    """The keys set by the config file, then overridden by explicit flags."""
+    merged = {}
     if getattr(args, "config", None):
         file_values = _parse_config_file(args.config)
         for key, raw in file_values.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_KEYS[key](raw)
-    for key, coerce in _CONFIG_KEYS.items():
+            merged[key] = _CONFIG_KEYS[key][1](raw)
+    for key, (_, coerce) in _CONFIG_KEYS.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = coerce(flag_value) if isinstance(flag_value, str) else flag_value
     return merged
 
 
-def _experiment_config(settings, alpha, beta):
-    return benchmark.ExperimentConfig(
-        generator=settings["generator"],
-        K=settings["k"],
-        states=settings["states"],
-        gram_length=settings["gram_length"],
-        alpha_true=alpha,
-        beta_true=beta,
-        size_ladder=settings["ladder"],
-        repetitions=settings["reps"],
-        estimators=settings["estimator"],
-        divergence=settings["divergence"],
-        master_seed=settings["seed"],
-        nested_subsample=settings["nested_subsample"],
-        parent_size=settings["parent_size"],
-        workers=settings["workers"],
-    )
+def _experiment_config(settings, **truth):
+    """ExperimentConfig from the set keys; ``truth`` gives the concentrations."""
+    fields = {
+        _CONFIG_KEYS[key][0]: value
+        for key, value in settings.items()
+        if key not in ("alpha", "beta", "out")
+    }
+    return benchmark.ExperimentConfig(**fields, **truth)
 
 
 def _single(values, flag):
@@ -167,10 +139,12 @@ def cmd_estimate(args):
 def cmd_convergence(args):
     try:
         settings = _merge_settings(args)
-        alpha = _single(_floats(settings["alpha"]), "alpha")
-        beta = _single(_floats(settings["beta"]), "beta")
-        config = _experiment_config(settings, alpha, beta)
-        out = settings["out"]
+        truth = {
+            f"{key}_true": _single(settings[key], key)
+            for key in ("alpha", "beta") if key in settings
+        }
+        config = _experiment_config(settings, **truth)
+        out = settings.get("out")
         if not out:
             raise ValueError("--out is required for convergence runs")
     except (OSError, ValueError) as exc:
@@ -188,12 +162,12 @@ def cmd_convergence(args):
 def cmd_nstar(args):
     try:
         settings = _merge_settings(args)
-        alphas = _floats(settings["alpha"])
-        betas = _floats(settings["beta"])
+        alphas = settings.get("alpha", (benchmark.ExperimentConfig.alpha_true,))
+        betas = settings.get("beta", (benchmark.ExperimentConfig.beta_true,))
         if not alphas or not betas:
             raise ValueError("--alpha and --beta must list at least one value")
-        config = _experiment_config(settings, alphas[0], betas[0])
-        out = settings["out"]
+        config = _experiment_config(settings, alpha_true=alphas[0], beta_true=betas[0])
+        out = settings.get("out")
         if not out:
             raise ValueError("--out is required for nstar runs")
     except (OSError, ValueError) as exc:
@@ -219,7 +193,7 @@ def _add_experiment_flags(sub):
     sub.add_argument("--ladder", type=_ints, help="sample sizes, comma separated")
     sub.add_argument("--reps", type=int)
     sub.add_argument("--estimator", type=_names, help="comma-separated estimator names")
-    sub.add_argument("--divergence", choices=_DIVERGENCES)
+    sub.add_argument("--divergence", choices=est.DIVERGENCES)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out", help="output CSV path")
     sub.add_argument(
@@ -243,8 +217,8 @@ def main(argv=None):
     p_est = subs.add_parser("estimate", help="estimate divergence from count files")
     p_est.add_argument("file1")
     p_est.add_argument("file2", nargs="?")
-    p_est.add_argument("--estimator", default="dpm", choices=_ESTIMATE_CHOICES)
-    p_est.add_argument("--divergence", default="kl", choices=_DIVERGENCES)
+    p_est.add_argument("--estimator", default="dpm", choices=est.ESTIMATOR_NAMES)
+    p_est.add_argument("--divergence", default="kl", choices=est.DIVERGENCES)
     p_est.add_argument("--k", type=int, help="number of categories")
     p_est.set_defaults(func=cmd_estimate)
 

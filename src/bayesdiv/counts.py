@@ -6,25 +6,15 @@ are carried explicitly through the (0, 0) row, so sums over rows weighted
 by nu are sums over all K categories.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "CountPair",
     "MultiplicityTable",
     "build_table",
-    "sum_over_categories",
-    "double_sum_over_categories",
     "load_count_files",
 ]
-
-
-class CountPair(NamedTuple):
-    n: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -37,11 +27,6 @@ class MultiplicityTable:
     K: int
     N: int
     M: int
-
-    def pairs(self):
-        """Iterate (CountPair, multiplicity) rows."""
-        for i in range(len(self.nu)):
-            yield CountPair(int(self.n[i]), int(self.m[i])), int(self.nu[i])
 
     def observed_categories(self, which_sample):
         """Number of categories with a positive count in one sample."""
@@ -99,31 +84,6 @@ def build_table(counts1, counts2, K):
         arr.setflags(write=False)
     return MultiplicityTable(n=n, m=m, nu=nu, K=K,
                              N=int(c1.sum()), M=int(c2.sum()))
-
-
-def sum_over_categories(table, f: Callable):
-    """sum_i f(pair_i) over all K categories, via multiplicities."""
-    return math.fsum(
-        nu * f(pair) for pair, nu in table.pairs()
-    )
-
-
-def double_sum_over_categories(table, f_diag: Callable, f_off: Callable):
-    """sum_i f_diag(pair_i) + sum_{i != j} f_off(pair_i, pair_j).
-
-    The off-diagonal part over distinct pairs (x, x') carries weight
-    nu_x * (nu_x' - delta_{x,x'}): same-pair terms count nu*(nu-1) because
-    a category cannot pair with itself.
-    """
-    rows = list(table.pairs())
-    diag = math.fsum(nu * f_diag(p) for p, nu in rows)
-    off_terms = []
-    for i, (pi, nui) in enumerate(rows):
-        for j, (pj, nuj) in enumerate(rows):
-            w = nui * (nuj - (1 if i == j else 0))
-            if w:
-                off_terms.append(w * f_off(pi, pj))
-    return diag + math.fsum(off_terms)
 
 
 # --- file ingestion -------------------------------------------------------

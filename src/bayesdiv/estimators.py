@@ -19,7 +19,7 @@ names.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,7 @@ __all__ = [
     "estimate_entropy_nsb",
     "PLUGIN_SCHEMES",
     "ESTIMATOR_NAMES",
+    "DIVERGENCES",
 ]
 
 _LOG_LO = math.log(1e-6)
@@ -74,7 +75,7 @@ _DP_TOL = 1e-12       # bracket width in ln alpha of a dp evidence maximum
 
 PLUGIN_SCHEMES = ("naive", "jeffreys", "trybula", "perks")
 ESTIMATOR_NAMES = ("dpm", "dp") + PLUGIN_SCHEMES + ("zhang",)
-_DIVERGENCES = ("kl", "hellinger2")
+DIVERGENCES = ("kl", "hellinger2")
 
 
 @dataclass
@@ -93,11 +94,11 @@ class EstimateReport:
 
 @dataclass
 class PosteriorMax:
-    """Maximizer of a log objective over (ln alpha, ln beta)."""
+    """Per-sample evidence maximizers and the summed log evidence there."""
 
     alpha_star: float
     beta_star: float
-    log_objective: float
+    log_evidence_at_max: float
     boundary_alpha: bool = False
     boundary_beta: bool = False
 
@@ -188,15 +189,21 @@ def _mixture_average(log_w, grids):
     return [float((w * g).sum()) for g in grids]
 
 
-def _edge_mass(log_w, window):
-    """Share of the weight in the node layers that lie on the box edge."""
+def _edge_mass(log_w, axes):
+    """Share of the weight on nodes within one scan step of the box edge.
+
+    A scan step, (_LOG_HI - _LOG_LO) / (_SCAN_NODES - 1) in ln alpha or
+    ln beta, is a fixed width, so the share does not shrink as the
+    quadrature refines its nodes.
+    """
+    step = (_LOG_HI - _LOG_LO) / (_SCAN_NODES - 1)
     w = _trapezoid_weights(log_w)
-    edge = np.zeros(w.shape, dtype=bool)
-    for k, (lo, hi) in enumerate(window):
-        face = np.moveaxis(edge, k, 0)
-        face[0] |= lo == _LOG_LO
-        face[-1] |= hi == _LOG_HI
-    return float(w[edge].sum())
+    near = np.zeros(w.shape, dtype=bool)
+    for k, u in enumerate(axes):
+        shape = [1] * w.ndim
+        shape[k] = len(u)
+        near |= ((u <= _LOG_LO + step) | (u >= _LOG_HI - step)).reshape(shape)
+    return float(w[near].sum())
 
 
 def _quadrature(log_weight, moments, dims, report=tuple):
@@ -224,7 +231,7 @@ def _quadrature(log_weight, moments, dims, report=tuple):
         ):
             break
         nodes = 2 * nodes - 1
-    diag = {"log_evidence_at_max": top, "edge_mass": _edge_mass(log_w, window)}
+    diag = {"log_evidence_at_max": top, "edge_mass": _edge_mass(log_w, axes)}
     for name, star, edge in zip(("alpha", "beta"), stars, edges):
         diag[f"{name}_star"] = star
         diag[f"grid_bins_{name}"] = nodes
@@ -285,24 +292,16 @@ def _evidence_argmax(table, which):
         x, last_step = 0.5 * (lo + hi), hi - lo
 
 
-def maximize_log_posterior(table, weight="dpm", divergence="kl"):
-    """Maximize the evidence ("dp") or evidence + hyper-prior ("dpm").
+def maximize_log_posterior(table):
+    """Per-sample evidence maximizers, the concentrations of dp.
 
-    Works in (ln alpha, ln beta) over the box [1e-6, 1e6]^2.  For "dp"
-    the objective separates: each coordinate's maximum is bracketed to
-    1e-12 in ln alpha on the sign of the analytic evidence gradient (see
-    ``_evidence_argmax``).  An empty sample leaves its coordinate
-    flat: it is pinned at 1.0 and flagged as boundary.  For "dpm" the
-    result is the best node of the quadrature's scan, with
-    ``boundary_*`` set when the integration window reaches the box edge.
+    Works in (ln alpha, ln beta) over the box [1e-6, 1e6]^2, where the
+    evidence separates: each coordinate's maximum is bracketed to 1e-12
+    in ln alpha on the sign of the analytic evidence gradient (see
+    ``_evidence_argmax``).  An empty sample leaves its coordinate flat:
+    it is pinned at 1.0 and flagged as boundary.
     """
     _check_table(table, bayes=True)
-    mode = str(weight).lower()
-    if mode == "dpm":
-        _, stars, top, edges = _scan(_dpm_log_weight(table, divergence), 2)
-        return PosteriorMax(*stars, top, *edges)
-    if mode != "dp":
-        raise ValueError("weight must be 'dp' or 'dpm'")
     out = []
     for which, total in ((1, table.N), (2, table.M)):
         if total == 0:
@@ -312,13 +311,7 @@ def maximize_log_posterior(table, weight="dpm", divergence="kl"):
         a_star = math.exp(u_star)
         out.append((a_star, log_evidence(table, a_star, which), _at_edge(u_star)))
     (a_star, f_a, edge_a), (b_star, f_b, edge_b) = out
-    return PosteriorMax(
-        alpha_star=a_star,
-        beta_star=b_star,
-        log_objective=f_a + f_b,
-        boundary_alpha=edge_a,
-        boundary_beta=edge_b,
-    )
+    return PosteriorMax(a_star, b_star, f_a + f_b, edge_a, edge_b)
 
 
 def _canonical_orientation(table):
@@ -370,16 +363,9 @@ def estimate_hellinger_dpm(table):
 
 def _dp_report(table, posterior_mean):
     _check_table(table, bayes=True)
-    mx = maximize_log_posterior(table, "dp")
+    mx = maximize_log_posterior(table)
     hp = HyperParams(mx.alpha_star, mx.beta_star, table.K)
-    diag = {
-        "alpha_star": mx.alpha_star,
-        "beta_star": mx.beta_star,
-        "log_evidence_at_max": mx.log_objective,
-        "boundary_alpha": mx.boundary_alpha,
-        "boundary_beta": mx.boundary_beta,
-    }
-    return EstimateReport(posterior_mean(table, hp), None, diag)
+    return EstimateReport(posterior_mean(table, hp), None, asdict(mx))
 
 
 def estimate_dkl_dp(table):
@@ -467,7 +453,7 @@ def estimate_dkl_zhang(table):
 
 def check_estimator(name, divergence):
     """Raise ValueError unless ``name`` estimates ``divergence``."""
-    if divergence not in _DIVERGENCES:
+    if divergence not in DIVERGENCES:
         raise ValueError(f"unknown divergence {divergence!r}")
     if name not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator {name!r}")

@@ -17,10 +17,9 @@ Jacobian when integrating on log-spaced grids.
 """
 
 import numpy as np
-from scipy.special import gammaln
 
 from .posterior import prior_mean_crossentropy, prior_mean_entropy
-from .specfun import delta_psi, trigamma
+from .specfun import delta_psi, log_half_ratio, trigamma
 
 __all__ = [
     "prior_entropy_slope",
@@ -90,28 +89,10 @@ def log_weight_kl(alpha, beta, K):
 
 # --- squared Hellinger ----------------------------------------------------
 
-def _log_half_ratio(x):
-    """ln Gamma(x + 1/2) - ln Gamma(x) - (1/2) ln x, to full relative precision.
-
-    The value shrinks like -1/(8x); a difference of ln Gamma values loses
-    its digits above x ~ 1e3, so from x = 30 on the asymptotic series is
-    summed instead (its truncation error there is below 1e-13 relative).
-    """
-    x = np.asarray(x, dtype=float)
-    big = np.maximum(x, 30.0)
-    series = (
-        -1 / (8 * big) + 1 / (192 * big**3)
-        - 1 / (640 * big**5) + 17 / (14336 * big**7)
-    )
-    small = np.minimum(x, 30.0)
-    direct = gammaln(small + 0.5) - gammaln(small) - 0.5 * np.log(small)
-    return np.where(x >= 30.0, series, direct)
-
-
 def _log_g(x, K):
     # ln[sqrt(K) B(1/2, Kx) / B(1/2, x)], with each ln B(1/2, y) written as
-    # ln Gamma(1/2) - (1/2) ln y - _log_half_ratio(y)
-    return _log_half_ratio(x) - _log_half_ratio(K * x)
+    # ln Gamma(1/2) - (1/2) ln y - log_half_ratio(y)
+    return log_half_ratio(x) - log_half_ratio(K * x)
 
 
 def bhattacharyya_factor(x, K):

@@ -6,11 +6,11 @@ below are over the product posterior Dir(n + alpha) x Dir(m + beta) at
 *fixed* hyperparameters; mixing over (alpha, beta) happens in
 ``bayesdiv.estimators``.
 
-Each quantity exists twice: a scalar contract function, and a ``*_grid``
-evaluator vectorized over hyperparameter vectors (shape conventions:
-alphas (A,), betas (B,) -> grid (A, B)).  The grid forms factor every
-double sum into per-axis pieces combined by matrix products, so whole
-quadrature grids cost a few BLAS calls.
+Each quantity is computed once, by a ``*_grid`` evaluator vectorized over
+hyperparameter vectors (shape conventions: alphas (A,), betas (B,) ->
+grid (A, B)); the scalar contract functions evaluate it at one point.
+The grid forms factor every double sum into per-axis pieces combined by
+matrix products, so whole quadrature grids cost a few BLAS calls.
 """
 
 from dataclasses import dataclass
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .counts import MultiplicityTable, double_sum_over_categories
-from .specfun import delta_psi, trigamma
+from .counts import MultiplicityTable
+from .specfun import delta_psi, log_half_ratio, trigamma
 
 __all__ = [
     "HyperParams",
@@ -199,17 +199,19 @@ def hellinger_sq_grid(table, alphas, betas):
     _check_table(table)
     alphas = _grid_vec(alphas, "alphas")
     betas = _grid_vec(betas, "betas")
-    half = 0.5
     x = table.n[None, :] + alphas[:, None]
     X = table.N + table.K * alphas
     y = table.m[None, :] + betas[:, None]
     Y = table.M + table.K * betas
-    # B(1/2, X)/B(1/2, x_i) per category: the posterior mean of sqrt(q_i),
-    # and likewise for t.  Both ratios are <= 1, so no overflow.
-    r = table.nu[None, :] * np.exp(
-        _sp.betaln(half, X)[:, None] - _sp.betaln(half, x)
+    # B(1/2, X)/B(1/2, x_i) per category, the posterior mean of sqrt(q_i),
+    # is sqrt(x_i/X) exp(h(x_i) - h(X)) with h = log_half_ratio; likewise
+    # for t.  Both ratios are <= 1, so no overflow.
+    r = table.nu[None, :] * np.sqrt(x / X[:, None]) * np.exp(
+        log_half_ratio(x) - log_half_ratio(X)[:, None]
     )
-    s = np.exp(_sp.betaln(half, Y)[:, None] - _sp.betaln(half, y))
+    s = np.sqrt(y / Y[:, None]) * np.exp(
+        log_half_ratio(y) - log_half_ratio(Y)[:, None]
+    )
     return 1.0 - r @ s.T
 
 
@@ -220,77 +222,6 @@ def posterior_hellinger_sq(table, hp):
 
 
 # --- second moment of DKL -------------------------------------------------
-#
-# Building blocks: posterior moments of q under Dir(x) with total X.
-# Written as named helpers so each algebraic layer can be checked against
-# Monte Carlo draws on its own.
-
-def _mean_q(x_i, X):
-    """<q_i> = x_i / X."""
-    return x_i / X
-
-
-def _mean_log_q(x_i, X):
-    """<ln q_i> = psi(x_i) - psi(X)."""
-    return delta_psi(x_i, X)
-
-
-def _mean_log_q_pair(x_i, x_j, same, X):
-    """<ln q_i ln q_j> = <ln q_i><ln q_j> + delta_ij psi_1(x_i) - psi_1(X)."""
-    out = delta_psi(x_i, X) * delta_psi(x_j, X) - trigamma(X)
-    if same:
-        out += trigamma(x_i)
-    return out
-
-
-def _mean_qq(x_i, x_j, same, X):
-    """<q_i q_j> = x_i (x_j + delta_ij) / (X (X+1))."""
-    return x_i * (x_j + (1.0 if same else 0.0)) / (X * (X + 1.0))
-
-
-def _mean_qq_log_first(x_i, x_j, same, X):
-    """<q_i q_j ln q_i>: shift x by e_i + e_j, then average ln q_i."""
-    d = 1.0 if same else 0.0
-    return _mean_qq(x_i, x_j, same, X) * delta_psi(x_i + 1.0 + d, X + 2.0)
-
-
-def _mean_qq_log_pair(x_i, x_j, same, X):
-    """<q_i q_j ln q_i ln q_j>: shift x by e_i + e_j, then <ln q_i ln q_j>."""
-    d = 1.0 if same else 0.0
-    return _mean_qq(x_i, x_j, same, X) * _mean_log_q_pair(
-        x_i + 1.0 + d, x_j + 1.0 + d, same, X + 2.0
-    )
-
-
-def posterior_dkl_squared(table, hp):
-    """Posterior mean of D_KL(q||t)^2 at fixed hyperparameters.
-
-    Expands the square into a double sum over category pairs; compressed
-    rows are combined with nu_x (nu_x' - delta) weights.
-    """
-    _check_hp(_check_table(table), hp)
-    a, b, K = hp.alpha, hp.beta, float(hp.K)
-    X = table.N + K * a
-    Y = table.M + K * b
-
-    def term(pair_i, pair_j, same):
-        x_i, x_j = pair_i.n + a, pair_j.n + a
-        y_i, y_j = pair_i.m + b, pair_j.m + b
-        lt_i, lt_j = delta_psi(y_i, Y), delta_psi(y_j, Y)
-        return (
-            _mean_qq_log_pair(x_i, x_j, same, X)
-            - _mean_qq_log_first(x_i, x_j, same, X) * lt_j
-            - _mean_qq_log_first(x_j, x_i, same, X) * lt_i
-            + _mean_qq(x_i, x_j, same, X)
-            * _mean_log_q_pair(y_i, y_j, same, Y)
-        )
-
-    return double_sum_over_categories(
-        table,
-        lambda p: term(p, p, True),
-        lambda p, q: term(p, q, False),
-    )
-
 
 def dkl_squared_grid(table, alphas, betas):
     """<D_KL^2> on the (alphas, betas) grid.
@@ -347,3 +278,9 @@ def dkl_squared_grid(table, alphas, betas):
     corr /= XX1[:, None]
 
     return diag + full - corr
+
+
+def posterior_dkl_squared(table, hp):
+    """Posterior mean of D_KL(q||t)^2 at fixed hyperparameters."""
+    _check_hp(_check_table(table), hp)
+    return float(dkl_squared_grid(table, [hp.alpha], [hp.beta])[0, 0])

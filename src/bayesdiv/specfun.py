@@ -1,8 +1,10 @@
 """Gamma-family special functions for count-data posteriors.
 
 Everything here accepts floats or numpy arrays (broadcasting applies) and
-works in natural log units.  The one nonstandard routine is ``delta_psi``,
-a digamma difference computed so that nearby arguments do not cancel.
+works in natural log units.  Beside the trigamma function there are two
+cancellation-free differences: ``delta_psi``, a digamma difference whose
+nearby arguments do not cancel, and ``log_half_ratio``, the log Gamma
+ratio behind every B(1/2, .) ratio of the Hellinger formulas.
 """
 
 import math
@@ -11,12 +13,9 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "log_gamma",
-    "digamma",
     "trigamma",
     "delta_psi",
-    "log_beta2",
-    "log_multivariate_beta",
+    "log_half_ratio",
 ]
 
 
@@ -29,20 +28,6 @@ def _validate_positive(x, name):
     return arr
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    arr = _validate_positive(x, "x")
-    out = _sp.gammaln(arr)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
-def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    arr = _validate_positive(x, "x")
-    out = _sp.digamma(arr)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
 def trigamma(x):
     """psi_1(x) = d^2/dx^2 ln Gamma(x) for x > 0."""
     arr = _validate_positive(x, "x")
@@ -50,35 +35,22 @@ def trigamma(x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def log_beta2(z1, z2):
-    """ln B(z1, z2) for the two-argument Beta function."""
-    a1 = _validate_positive(z1, "z1")
-    a2 = _validate_positive(z2, "z2")
-    out = _sp.betaln(a1, a2)
-    if np.ndim(z1) == 0 and np.ndim(z2) == 0:
-        return float(out)
-    return out
+def log_half_ratio(x):
+    """ln Gamma(x + 1/2) - ln Gamma(x) - (1/2) ln x, to full relative precision.
 
-
-def log_multivariate_beta(values, multiplicities=None):
-    """ln B(x) = sum_j ln Gamma(x_j) - ln Gamma(sum_j x_j).
-
-    ``values`` may list every component, or distinct components paired with
-    integer ``multiplicities`` (so a vector with many repeated entries is
-    passed in compressed form).
+    The value shrinks like -1/(8x); a difference of ln Gamma values loses
+    its digits above x ~ 1e3, so from x = 30 on the asymptotic series is
+    summed instead (its truncation error there is below 1e-13 relative).
     """
-    vals = _validate_positive(values, "values")
-    vals = np.atleast_1d(vals)
-    if multiplicities is None:
-        mult = np.ones_like(vals)
-    else:
-        mult = np.atleast_1d(np.asarray(multiplicities, dtype=float))
-        if mult.shape != vals.shape:
-            raise ValueError("multiplicities must match values in shape")
-        if np.any(mult < 1) or np.any(mult != np.round(mult)):
-            raise ValueError("multiplicities must be positive integers")
-    total = float(np.dot(mult, vals))
-    return float(np.dot(mult, _sp.gammaln(vals)) - _sp.gammaln(total))
+    x = np.asarray(x, dtype=float)
+    big = np.maximum(x, 30.0)
+    series = (
+        -1 / (8 * big) + 1 / (192 * big**3)
+        - 1 / (640 * big**5) + 17 / (14336 * big**7)
+    )
+    small = np.minimum(x, 30.0)
+    direct = _sp.gammaln(small + 0.5) - _sp.gammaln(small) - 0.5 * np.log(small)
+    return np.where(x >= 30.0, series, direct)
 
 
 # --- digamma differences -------------------------------------------------

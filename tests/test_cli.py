@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from bayesdiv import benchmark
 from bayesdiv.cli import main
 
 
@@ -144,6 +145,13 @@ def test_convergence_workers_flag_does_not_change_output(tmp_path, capsys):
     assert main(["convergence", *CONV_FLAGS, "--out", str(out_a)]) == 0
     assert main(["convergence", *CONV_FLAGS, "--workers", "2", "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_convergence_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(benchmark, "run_convergence", lambda c: seen.append(c) or [])
+    assert main(["convergence", "--out", str(tmp_path / "c.csv")]) == 0
+    assert seen == [benchmark.ExperimentConfig()]
 
 
 def test_convergence_requires_out(capsys):

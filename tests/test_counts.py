@@ -1,19 +1,13 @@
-"""Multiplicity tables: compression, weighted sums, file ingestion."""
-
-import math
+"""Multiplicity tables: compression and file ingestion."""
 
 import numpy as np
 import pytest
 
-from bayesdiv.counts import (
-    MultiplicityTable,
-    build_table,
-    double_sum_over_categories,
-    load_count_files,
-    sum_over_categories,
-)
+from bayesdiv.counts import build_table, load_count_files
 
-from _oracles import brute_double_sum, expand_counts
+
+def _rows(table):
+    return {(int(n), int(m)): int(nu) for n, m, nu in zip(table.n, table.m, table.nu)}
 
 
 # --- construction -----------------------------------------------------------
@@ -21,28 +15,25 @@ from _oracles import brute_double_sum, expand_counts
 def test_build_table_basic_compression():
     table = build_table([3, 3, 1, 0], [0, 0, 2, 5], 4)
     assert table.K == 4 and table.N == 7 and table.M == 7
-    rows = {(p.n, p.m): nu for p, nu in table.pairs()}
-    assert rows == {(3, 0): 2, (1, 2): 1, (0, 5): 1}
+    assert _rows(table) == {(3, 0): 2, (1, 2): 1, (0, 5): 1}
     assert int(table.nu.sum()) == 4
 
 
 def test_build_table_pads_unlisted_categories():
     table = build_table([2, 1], [1, 1], 10)
-    rows = {(p.n, p.m): nu for p, nu in table.pairs()}
-    assert rows[(0, 0)] == 8
+    assert _rows(table)[(0, 0)] == 8
     assert int(table.nu.sum()) == 10
 
 
 def test_build_table_merges_explicit_and_padded_zeros():
     table = build_table([2, 0, 0], [1, 0, 0], 5)
-    rows = {(p.n, p.m): nu for p, nu in table.pairs()}
-    assert rows[(0, 0)] == 4
+    assert _rows(table)[(0, 0)] == 4
 
 
 def test_build_table_empty_samples():
     table = build_table([], [], 7)
     assert table.N == 0 and table.M == 0
-    assert {(p.n, p.m): nu for p, nu in table.pairs()} == {(0, 0): 7}
+    assert _rows(table) == {(0, 0): 7}
 
 
 def test_build_table_accepts_integer_valued_floats():
@@ -89,48 +80,6 @@ def test_joint_permutation_gives_identical_table():
     assert np.array_equal(a.nu, b.nu)
 
 
-# --- weighted sums ------------------------------------------------------------
-
-def test_sum_over_categories_matches_expanded_sum():
-    table = build_table([4, 4, 1, 0], [2, 2, 0, 1], 9)
-    got = sum_over_categories(table, lambda p: (p.n + 0.5) * (p.m + 2.0))
-    n, m = expand_counts(table)
-    want = math.fsum((ni + 0.5) * (mi + 2.0) for ni, mi in zip(n, m))
-    assert got == pytest.approx(want, rel=1e-15)
-    assert len(n) == table.K
-
-
-def test_double_sum_counts_all_ordered_pairs():
-    # f == 1 everywhere sums diag + off-diag to exactly K^2 pairs
-    table = build_table([5, 5, 2, 0, 0], [1, 0, 0, 3, 3], 11)
-    got = double_sum_over_categories(table, lambda p: 1.0, lambda a, b: 1.0)
-    assert got == pytest.approx(table.K**2, rel=0, abs=0)
-
-
-def test_double_sum_matches_brute_force_on_random_instances():
-    rng = np.random.default_rng(11)
-
-    def f(a, b, same):
-        base = math.log1p(a[0] + 2 * b[1]) + 0.3 * a[1] - 0.1 * b[0]
-        return base * (2.0 if same else 1.0)
-
-    for _ in range(25):
-        size = int(rng.integers(1, 8))
-        K = size + int(rng.integers(0, 5))
-        n = rng.integers(0, 7, size=size)
-        m = rng.integers(0, 7, size=size)
-        table = build_table(n, m, K)
-        got = double_sum_over_categories(
-            table,
-            lambda p: f((p.n, p.m), (p.n, p.m), True),
-            lambda a, b: f((a.n, a.m), (b.n, b.m), False),
-        )
-        want = brute_double_sum(
-            table, lambda a, b, same: f(a, b, same) if same else f(a, b, False)
-        )
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
 # --- file ingestion -------------------------------------------------------------
 
 def _write(tmp_path, name, text):
@@ -144,7 +93,7 @@ def test_load_tsv_pair_with_k_flag(tmp_path):
     f2 = _write(tmp_path, "b.tsv", "# comment line\n2\t4\n5\t2\n")
     table = load_count_files(f1, f2, k=8)
     assert table.K == 8 and table.N == 4 and table.M == 6
-    rows = {(p.n, p.m): nu for p, nu in table.pairs()}
+    rows = _rows(table)
     # categories 0,2,5 are mentioned; five more are implicit zeros
     assert rows[(3, 0)] == 1 and rows[(1, 4)] == 1 and rows[(0, 2)] == 1
     assert rows[(0, 0)] == 5

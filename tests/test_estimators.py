@@ -8,7 +8,10 @@ import pytest
 from bayesdiv.counts import build_table
 from bayesdiv.estimators import (
     PLUGIN_SCHEMES,
+    _dpm_log_weight,
+    _edge_mass,
     _mixture_average,
+    _scan,
     _pseudo_counts,
     estimate,
     estimate_dkl_dp,
@@ -149,7 +152,7 @@ def test_dp_maximizer_recovers_truth_concentration():
     hits = []
     for seed in range(30):
         table, _, _ = _dirichlet_table(400, 10_000, seed)
-        mx = maximize_log_posterior(table, "dp")
+        mx = maximize_log_posterior(table)
         hits.append((mx.alpha_star, mx.beta_star))
     stars = np.array(hits)
     assert np.all((stars > 0.7) & (stars < 1.4))
@@ -157,7 +160,7 @@ def test_dp_maximizer_recovers_truth_concentration():
 
 def test_dp_empty_table_flags_boundaries():
     table = build_table([], [], 50)
-    mx = maximize_log_posterior(table, "dp")
+    mx = maximize_log_posterior(table)
     assert mx.boundary_alpha and mx.boundary_beta
     assert mx.alpha_star == 1.0 and mx.beta_star == 1.0
 
@@ -170,7 +173,7 @@ def test_dp_maximizer_resolves_a_flat_evidence():
     n = np.array([2, 2] + [1] * 196 + [0] * 2)
     m = np.array([1] * 198 + [0] * 2)
     table = build_table(n, m, 10_000)
-    mx = maximize_log_posterior(table, "dp")
+    mx = maximize_log_posterior(table)
     assert mx.alpha_star == pytest.approx(196.340, rel=1e-3)
     assert not mx.boundary_alpha
 
@@ -180,7 +183,7 @@ def test_dp_maximum_sits_on_a_gradient_sign_change():
     # gradient stops rising, or at the box edge the gradient points past
     for N in (25, 100, 1000, 10_000, 40_000):
         table, _, _ = _dirichlet_table(400, N, 3)
-        mx = maximize_log_posterior(table, "dp")
+        mx = maximize_log_posterior(table)
         for which, star, edge in ((1, mx.alpha_star, mx.boundary_alpha),
                                   (2, mx.beta_star, mx.boundary_beta)):
             u = math.log(star) + np.array([-1e-12, 1e-12])
@@ -195,18 +198,12 @@ def test_dp_maximum_sits_on_a_gradient_sign_change():
 
 def test_dpm_and_dp_maximizers_differ_at_small_samples():
     table, _, _ = _dirichlet_table(400, 100, 0)
-    dp = maximize_log_posterior(table, "dp")
-    dpm = maximize_log_posterior(table, "dpm")
-    shift = abs(math.log(dp.alpha_star / dpm.alpha_star)) + abs(
-        math.log(dp.beta_star / dpm.beta_star)
+    dp = maximize_log_posterior(table)
+    dpm = estimate_dkl_dpm(table).diagnostics
+    shift = abs(math.log(dp.alpha_star / dpm["alpha_star"])) + abs(
+        math.log(dp.beta_star / dpm["beta_star"])
     )
     assert shift > 0.05
-
-
-def test_maximize_rejects_unknown_weight():
-    table = build_table([1, 0], [0, 1], 2)
-    with pytest.raises(ValueError):
-        maximize_log_posterior(table, "map")
 
 
 # --- DPM quadrature ------------------------------------------------------------------
@@ -273,6 +270,20 @@ def test_dpm_report_contract():
     assert estimate_dkl_dp(table).posterior_std is None
     assert estimate_hellinger_dpm(table).posterior_std is None
     assert estimate_hellinger_dp(table).posterior_std is None
+
+
+def test_edge_mass_does_not_shrink_with_the_node_spacing():
+    # posteriors flat up to the box edge keep the same share near it when
+    # the nodes of one window double
+    for table in (build_table([], [], 400), build_table([3, 0], [0, 3], 2)):
+        log_weight = _dpm_log_weight(table, "kl")
+        window = _scan(log_weight, 2)[0]
+        shares = []
+        for nodes in (513, 1025):
+            axes = [np.linspace(lo, hi, nodes) for lo, hi in window]
+            shares.append(_edge_mass(log_weight(*axes), axes))
+        assert shares[1] == pytest.approx(shares[0], rel=0.05), shares
+        assert shares[1] > 0.01
 
 
 def test_dpm_empty_table_is_finite_positive():

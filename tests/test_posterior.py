@@ -26,7 +26,7 @@ from bayesdiv.posterior import (
     prior_mean_entropy,
 )
 
-from _oracles import posterior_mc, random_count_pair
+from _oracles import dkl_squared_pairwise, posterior_mc, random_count_pair
 
 
 def _hp(alpha, beta, K):
@@ -289,6 +289,35 @@ def test_posterior_hellinger_in_unit_interval():
         assert 0.0 <= value < 1.0
 
 
+def test_hellinger_grid_matches_mpmath():
+    # 1 - sum_i nu_i <sqrt q_i><sqrt t_i> with the B(1/2, .) ratios at 50
+    # digits.  Near alpha = beta = 1e6 the value is about 2.5e-7, so the
+    # ratios must be right to far more digits than the value shows.
+    import mpmath
+
+    rng = np.random.default_rng(12)
+    K = 400
+    n = rng.multinomial(25, rng.dirichlet(np.ones(K)))
+    m = rng.multinomial(25, rng.dirichlet(np.ones(K)))
+    table = build_table(n, m, K)
+
+    def mean_sqrt(count, total, x):
+        a, b = mpmath.mpf(int(count)) + x, mpmath.mpf(int(total)) + K * x
+        half = mpmath.mpf(1) / 2
+        return mpmath.exp(mpmath.loggamma(a + half) - mpmath.loggamma(a)
+                          - mpmath.loggamma(b + half) + mpmath.loggamma(b))
+
+    with mpmath.workdps(50):
+        for alpha, beta in ((999999.99, 999999.99), (3.0, 3.0), (1.0, 1.0)):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            want = 1 - mpmath.fsum(
+                int(nu) * mean_sqrt(ni, table.N, a) * mean_sqrt(mi, table.M, b)
+                for ni, mi, nu in zip(table.n, table.m, table.nu)
+            )
+            got = hellinger_sq_grid(table, [alpha], [beta])[0, 0]
+            assert got == pytest.approx(float(want), rel=1e-8), (alpha, beta)
+
+
 def test_posterior_entropy_hand_value():
     # K=2, n=(1,0), alpha=1: (2/3) d_psi(4,3) + (1/3) d_psi(4,2) = 1/2
     table = build_table([1, 0], [0, 0], 2)
@@ -330,7 +359,7 @@ def test_grids_match_scalar_evaluations():
             hp = _hp(float(a), float(b), 13)
             assert got_dkl[i, j] == pytest.approx(posterior_dkl(table, hp), rel=1e-10)
             assert got_sq[i, j] == pytest.approx(
-                posterior_dkl_squared(table, hp), rel=1e-9
+                dkl_squared_pairwise(table, float(a), float(b)), rel=1e-9
             )
             assert got_hell[i, j] == pytest.approx(
                 posterior_hellinger_sq(table, hp), rel=1e-11

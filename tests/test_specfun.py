@@ -5,30 +5,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import digamma
 
-from bayesdiv.specfun import (
-    delta_psi,
-    digamma,
-    log_beta2,
-    log_gamma,
-    log_multivariate_beta,
-    trigamma,
-)
+from bayesdiv.specfun import delta_psi, trigamma
 
 mpmath.mp.dps = 40
 
 
-# --- wrappers against mpmath ------------------------------------------------
-
-@pytest.mark.parametrize("z", [1e-6, 0.037, 0.5, 1.0, 2.0, 17.25, 400.0, 1e6])
-def test_log_gamma_matches_mpmath(z):
-    assert log_gamma(z) == pytest.approx(float(mpmath.loggamma(z)), rel=1e-13)
-
-
-@pytest.mark.parametrize("z", [1e-6, 0.037, 0.5, 1.0, 2.0, 17.25, 400.0, 1e6])
-def test_digamma_matches_mpmath(z):
-    assert digamma(z) == pytest.approx(float(mpmath.digamma(z)), rel=1e-12, abs=1e-12)
-
+# --- trigamma against mpmath -------------------------------------------------
 
 @pytest.mark.parametrize("z", [1e-6, 0.037, 0.5, 1.0, 2.0, 17.25, 400.0, 1e6])
 def test_trigamma_matches_mpmath(z):
@@ -36,20 +20,12 @@ def test_trigamma_matches_mpmath(z):
     assert trigamma(z) == pytest.approx(truth, rel=1e-12)
 
 
-def test_log_beta2_is_log_beta():
-    for a, b in [(0.5, 0.5), (1.0, 3.0), (400.5, 0.5), (2e4, 1.0)]:
-        truth = float(mpmath.log(mpmath.beta(a, b)))
-        assert log_beta2(a, b) == pytest.approx(truth, rel=1e-12, abs=1e-12)
-
-
 def test_wrappers_accept_arrays():
     z = np.array([0.5, 1.0, 2.0])
-    assert log_gamma(z).shape == (3,)
-    assert digamma(z).shape == (3,)
     assert trigamma(z).shape == (3,)
 
 
-@pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])
+@pytest.mark.parametrize("fn", [trigamma])
 def test_wrappers_reject_nonpositive(fn):
     with pytest.raises(ValueError):
         fn(0.0)
@@ -59,42 +35,11 @@ def test_wrappers_reject_nonpositive(fn):
 
 # --- derivative ladder -------------------------------------------------------
 
-def test_digamma_is_log_gamma_derivative():
-    h = 1e-6
-    for z in (0.3, 1.0, 7.5, 120.0):
-        fd = (log_gamma(z + h) - log_gamma(z - h)) / (2 * h)
-        assert fd == pytest.approx(digamma(z), rel=1e-7)
-
-
 def test_trigamma_is_digamma_derivative():
     h = 1e-6
     for z in (0.3, 1.0, 7.5, 120.0):
         fd = (digamma(z + h) - digamma(z - h)) / (2 * h)
         assert fd == pytest.approx(trigamma(z), rel=1e-6)
-
-
-# --- compressed multivariate Beta -------------------------------------------
-
-def test_log_multivariate_beta_uniform_simplex():
-    # B(1,1) over K=2 is 1, so the log vanishes
-    assert log_multivariate_beta(np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_log_multivariate_beta_matches_mpmath():
-    values = np.array([1.5, 2.0, 0.5])
-    truth = float(
-        sum(mpmath.loggamma(v) for v in values) - mpmath.loggamma(sum(values))
-    )
-    assert log_multivariate_beta(values) == pytest.approx(truth, rel=1e-13)
-
-
-def test_log_multivariate_beta_multiplicity_compression():
-    values = np.array([0.5, 2.5])
-    nu = np.array([3, 2])
-    expanded = np.array([0.5, 0.5, 0.5, 2.5, 2.5])
-    assert log_multivariate_beta(values, nu) == pytest.approx(
-        log_multivariate_beta(expanded), rel=1e-14
-    )
 
 
 # --- digamma differences ------------------------------------------------------
