@@ -1,9 +1,13 @@
-"""Multiplicity tables: compression and file ingestion."""
+"""Multiplicity tables: compression, weighted sums, file ingestion."""
+
+import math
 
 import numpy as np
 import pytest
 
 from bayesdiv.counts import build_table, load_count_files
+
+from _oracles import brute_double_sum, expand_counts
 
 
 def _rows(table):
@@ -78,6 +82,28 @@ def test_joint_permutation_gives_identical_table():
     assert np.array_equal(a.n, b.n)
     assert np.array_equal(a.m, b.m)
     assert np.array_equal(a.nu, b.nu)
+
+
+# --- weighted sums ------------------------------------------------------------
+
+def test_sum_over_categories_matches_expanded_sum():
+    # a multiplicity-weighted sum over the table rows, the form every grid
+    # evaluator takes, equals the sum over the K expanded categories
+    table = build_table([4, 4, 1, 0], [2, 2, 0, 1], 9)
+    f = (table.n + 0.5) * (table.m + 2.0)
+    got = math.fsum((f * table.nu).tolist())
+    n, m = expand_counts(table)
+    want = math.fsum((ni + 0.5) * (mi + 2.0) for ni, mi in zip(n, m))
+    assert got == pytest.approx(want, rel=1e-15)
+    assert len(n) == table.K
+
+
+def test_double_sum_counts_all_ordered_pairs():
+    # f == 1 everywhere sums diag + off-diag to exactly K^2 pairs, K of
+    # them on the diagonal
+    table = build_table([5, 5, 2, 0, 0], [1, 0, 0, 3, 3], 11)
+    assert brute_double_sum(table, lambda a, b, same: 1.0) == table.K**2
+    assert brute_double_sum(table, lambda a, b, same: float(same)) == table.K
 
 
 # --- file ingestion -------------------------------------------------------------

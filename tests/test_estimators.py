@@ -206,6 +206,15 @@ def test_dpm_and_dp_maximizers_differ_at_small_samples():
     assert shift > 0.05
 
 
+def test_maximize_rejects_unknown_weight():
+    # the search is dp-only: no weight or divergence option is accepted
+    table = build_table([1, 0], [0, 1], 2)
+    with pytest.raises(TypeError):
+        maximize_log_posterior(table, "map")
+    with pytest.raises(TypeError):
+        maximize_log_posterior(table, weight="dpm")
+
+
 # --- DPM quadrature ------------------------------------------------------------------
 
 def test_mixture_average_invariant_under_log_weight_shift():
