@@ -34,13 +34,14 @@ __all__ = [
     "Row",
     "run_convergence",
     "write_rows_csv",
-    "read_rows_csv",
     "compute_nstar",
     "run_nstar",
     "write_nstar_csv",
 ]
 
 DEFAULT_LADDER = (25, 50, 100, 200, 400, 1000, 4000, 10000, 40000)
+
+_NSTAR_BAND = 0.05   # relative band around the truth that N* must stay in
 
 
 class Row(NamedTuple):
@@ -279,31 +280,11 @@ def write_rows_csv(rows, path):
             )
 
 
-def read_rows_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            std = rec["posterior_std"]
-            rows.append(
-                Row(
-                    rec["estimator"],
-                    int(rec["N"]),
-                    int(rec["rep"]),
-                    float(rec["estimate"]),
-                    float(rec["true_value"]),
-                    None if std == "" else float(std),
-                )
-            )
-    return rows
-
-
-def compute_nstar(rows, *, normalized=False, band=0.05):
+def compute_nstar(rows):
     """First-enter-then-stay convergence size per estimator.
 
-    The mean curve is mean(estimate)/mean(truth) per size, or the mean of
-    per-repetition normalized estimates when ``normalized`` is set (used
-    for Markov runs, where each repetition shares one truth).  Returns
-    {estimator: N* or None}.
+    The mean curve is mean(estimate)/mean(truth) per size; it must stay
+    within _NSTAR_BAND of 1.  Returns {estimator: N* or None}.
     """
     curves = {}
     for row in rows:
@@ -316,15 +297,12 @@ def compute_nstar(rows, *, normalized=False, band=0.05):
         inside = []
         for size in sizes:
             pairs = by_size[size]
-            if normalized:
-                ratio = float(np.mean([e / t for e, t in pairs]))
-            else:
-                mean_true = float(np.mean([t for _, t in pairs]))
-                if mean_true == 0.0:
-                    inside.append(False)
-                    continue
-                ratio = float(np.mean([e for e, _ in pairs])) / mean_true
-            inside.append(abs(ratio - 1.0) <= band)
+            mean_true = float(np.mean([t for _, t in pairs]))
+            if mean_true == 0.0:
+                inside.append(False)
+                continue
+            ratio = float(np.mean([e for e, _ in pairs])) / mean_true
+            inside.append(abs(ratio - 1.0) <= _NSTAR_BAND)
         nstar = None
         for i, size in enumerate(sizes):
             if all(inside[i:]):

@@ -13,6 +13,7 @@ an estimator rejects its input (domain error).
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import benchmark
 from . import estimators as est
@@ -20,20 +21,18 @@ from .counts import load_count_files
 
 __all__ = ["main"]
 
-_GENERATORS = ("dirichlet", "markov")
-
 
 def _ints(text):
-    return tuple(int(part) for part in str(text).split(",") if part != "")
+    return tuple(int(part) for part in text.split(",") if part != "")
 
 def _floats(text):
-    return tuple(float(part) for part in str(text).split(",") if part != "")
+    return tuple(float(part) for part in text.split(",") if part != "")
 
 def _names(text):
-    return tuple(part.strip() for part in str(text).split(",") if part.strip())
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 def _bool(text):
-    value = str(text).strip().lower()
+    value = text.strip().lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
@@ -41,9 +40,13 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_config_file(path):
-    """key=value lines; blank lines and # comments ignored."""
-    out = {}
+def _config_tokens(path):
+    """The `key = value` lines of a config file as flag tokens.
+
+    Blank lines and # comments are skipped; a key may be spelled with
+    "-" or "_".  A true ``nested_subsample`` becomes the bare flag.
+    """
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -52,56 +55,18 @@ def _parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
+            flag = "--" + key.strip().replace("_", "-")
+            if flag == "--nested-subsample":
+                tokens += [flag] if _bool(value) else []
+            else:
+                tokens.append(f"{flag}={value.strip()}")
+    return tokens
 
 
-# configuration keys shared by convergence and nstar: the ExperimentConfig
-# field each one sets (None for the output path) and the coercer for values
-# arriving as strings from a config file.  Unset keys keep the field default.
-_CONFIG_KEYS = {
-    "generator": ("generator", str),
-    "k": ("K", int),
-    "states": ("states", int),
-    "gram_length": ("gram_length", int),
-    "alpha": ("alpha_true", _floats),
-    "beta": ("beta_true", _floats),
-    "ladder": ("size_ladder", _ints),
-    "reps": ("repetitions", int),
-    "estimator": ("estimators", _names),
-    "divergence": ("divergence", str),
-    "seed": ("master_seed", int),
-    "out": (None, str),
-    "nested_subsample": ("nested_subsample", _bool),
-    "parent_size": ("parent_size", int),
-    "workers": ("workers", int),
-}
-
-
-def _merge_settings(args):
-    """The keys set by the config file, then overridden by explicit flags."""
-    merged = {}
-    if getattr(args, "config", None):
-        file_values = _parse_config_file(args.config)
-        for key, raw in file_values.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_KEYS[key][1](raw)
-    for key, (_, coerce) in _CONFIG_KEYS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = coerce(flag_value) if isinstance(flag_value, str) else flag_value
-    return merged
-
-
-def _experiment_config(settings, **truth):
-    """ExperimentConfig from the set keys; ``truth`` gives the concentrations."""
-    fields = {
-        _CONFIG_KEYS[key][0]: value
-        for key, value in settings.items()
-        if key not in ("alpha", "beta", "out")
-    }
-    return benchmark.ExperimentConfig(**fields, **truth)
+def _set_fields(args):
+    """The ExperimentConfig fields set by a flag or a config line."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(benchmark.ExperimentConfig)}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _single(values, flag):
@@ -138,16 +103,14 @@ def cmd_estimate(args):
 
 def cmd_convergence(args):
     try:
-        settings = _merge_settings(args)
         truth = {
-            f"{key}_true": _single(settings[key], key)
-            for key in ("alpha", "beta") if key in settings
+            f"{key}_true": _single(getattr(args, key), key)
+            for key in ("alpha", "beta") if getattr(args, key) is not None
         }
-        config = _experiment_config(settings, **truth)
-        out = settings.get("out")
-        if not out:
+        config = benchmark.ExperimentConfig(**_set_fields(args), **truth)
+        if not args.out:
             raise ValueError("--out is required for convergence runs")
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -155,22 +118,22 @@ def cmd_convergence(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    benchmark.write_rows_csv(rows, out)
+    benchmark.write_rows_csv(rows, args.out)
     return 0
 
 
 def cmd_nstar(args):
+    alphas = (benchmark.ExperimentConfig.alpha_true,) if args.alpha is None else args.alpha
+    betas = (benchmark.ExperimentConfig.beta_true,) if args.beta is None else args.beta
     try:
-        settings = _merge_settings(args)
-        alphas = settings.get("alpha", (benchmark.ExperimentConfig.alpha_true,))
-        betas = settings.get("beta", (benchmark.ExperimentConfig.beta_true,))
         if not alphas or not betas:
             raise ValueError("--alpha and --beta must list at least one value")
-        config = _experiment_config(settings, alpha_true=alphas[0], beta_true=betas[0])
-        out = settings.get("out")
-        if not out:
+        config = benchmark.ExperimentConfig(
+            **_set_fields(args), alpha_true=alphas[0], beta_true=betas[0]
+        )
+        if not args.out:
             raise ValueError("--out is required for nstar runs")
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -178,32 +141,30 @@ def cmd_nstar(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    benchmark.write_nstar_csv(entries, out)
+    benchmark.write_nstar_csv(entries, args.out)
     return 0
 
 
 def _add_experiment_flags(sub):
+    """The settings of convergence and nstar; each dest is an ExperimentConfig field."""
     sub.add_argument("--config", help="key=value file; flags override it")
-    sub.add_argument("--generator", choices=_GENERATORS)
-    sub.add_argument("--k", type=int, help="number of categories (dirichlet)")
+    sub.add_argument("--generator", choices=("dirichlet", "markov"))
+    sub.add_argument("--k", dest="K", type=int, help="number of categories (dirichlet)")
     sub.add_argument("--states", type=int, help="markov state count")
-    sub.add_argument("--gram-length", dest="gram_length", type=int)
-    sub.add_argument("--alpha", help="truth concentration(s), comma separated")
-    sub.add_argument("--beta", help="truth concentration(s), comma separated")
-    sub.add_argument("--ladder", type=_ints, help="sample sizes, comma separated")
-    sub.add_argument("--reps", type=int)
-    sub.add_argument("--estimator", type=_names, help="comma-separated estimator names")
+    sub.add_argument("--gram-length", type=int)
+    sub.add_argument("--alpha", type=_floats, help="truth concentration(s), comma separated")
+    sub.add_argument("--beta", type=_floats, help="truth concentration(s), comma separated")
+    sub.add_argument("--ladder", dest="size_ladder", metavar="LADDER", type=_ints,
+                     help="sample sizes, comma separated")
+    sub.add_argument("--reps", dest="repetitions", metavar="REPS", type=int)
+    sub.add_argument("--estimator", dest="estimators", metavar="ESTIMATOR", type=_names,
+                     help="comma-separated estimator names")
     sub.add_argument("--divergence", choices=est.DIVERGENCES)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", dest="master_seed", metavar="SEED", type=int)
     sub.add_argument("--out", help="output CSV path")
-    sub.add_argument(
-        "--nested-subsample",
-        dest="nested_subsample",
-        action="store_true",
-        default=None,
-        help="subsample each ladder size from one parent sample",
-    )
-    sub.add_argument("--parent-size", dest="parent_size", type=int)
+    sub.add_argument("--nested-subsample", action="store_true", default=None,
+                     help="subsample each ladder size from one parent sample")
+    sub.add_argument("--parent-size", type=int)
     sub.add_argument("--workers", type=int, help="parallel repetition workers")
 
 
@@ -230,7 +191,18 @@ def main(argv=None):
     _add_experiment_flags(p_nstar)
     p_nstar.set_defaults(func=cmd_nstar)
 
-    args = parser.parse_args(argv)
+    # config lines go right after the subcommand, so that explicit flags,
+    # parsed later, override them
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = parser.parse_args([argv[0], *_config_tokens(args.config), *argv[1:]])
+    except SystemExit as exc:
+        return exc.code
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

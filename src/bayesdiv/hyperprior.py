@@ -25,7 +25,6 @@ __all__ = [
     "prior_entropy_slope",
     "prior_crossentropy_slope",
     "log_weight_kl",
-    "bhattacharyya_factor",
     "bhattacharyya_factor_log_slope",
     "log_weight_hellinger",
 ]
@@ -93,17 +92,6 @@ def _log_g(x, K):
     # ln[sqrt(K) B(1/2, Kx) / B(1/2, x)], with each ln B(1/2, y) written as
     # ln Gamma(1/2) - (1/2) ln y - log_half_ratio(y)
     return log_half_ratio(x) - log_half_ratio(K * x)
-
-
-def bhattacharyya_factor(x, K):
-    """g(x) = sqrt(K) B(1/2, Kx) / B(1/2, x): per-sample prior mean of the
-    Bhattacharyya coefficient; increases from 0 toward 1."""
-    xv = _positive(x, "x")
-    K = _check_K(K)
-    out = np.exp(_log_g(xv, K))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def bhattacharyya_factor_log_slope(x, K):

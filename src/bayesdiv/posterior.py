@@ -26,7 +26,6 @@ __all__ = [
     "log_evidence",
     "prior_mean_entropy",
     "prior_mean_crossentropy",
-    "posterior_entropy",
     "posterior_dkl",
     "posterior_dkl_squared",
     "posterior_hellinger_sq",
@@ -166,11 +165,6 @@ def entropy_grid(table, alphas, which_sample=1):
     w = table.nu[None, :] * x / X[:, None]
     s = delta_psi(X[:, None] + 1.0, x + 1.0)
     return (w * s).sum(axis=1)
-
-
-def posterior_entropy(table, alpha, which_sample=1):
-    """Posterior mean of -sum_i p_i ln p_i given one sample's counts."""
-    return float(entropy_grid(table, [alpha], which_sample)[0])
 
 
 def dkl_grid(table, alphas, betas):

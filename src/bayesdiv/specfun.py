@@ -60,23 +60,21 @@ def log_half_ratio(x):
 # where subtracting two digamma values loses most significant digits.  The
 # kernel below raises both arguments in lockstep, accumulating the exact
 # recurrence terms d/((z1+k)(z2+k)), then takes the asymptotic series of
-# the *difference*, which is free of cancellation term by term.
+# the *difference*, which is free of cancellation term by term.  Every
+# element takes the same number of steps, enough to lift the smallest to
+# _RAISE_TO; the terms are >= 0, so extra steps on elements that are
+# already large keep their relative accuracy.
 
 _RAISE_TO = 18.0
 
 
 def _delta_psi_kernel(big, small, gap):
     """psi(big) - psi(small) for big = small + gap, gap >= 0, elementwise."""
+    steps = max(0, math.ceil(_RAISE_TO - small.min())) if small.size else 0
     acc = np.zeros_like(small)
-    lo = float(small.min()) if small.size else _RAISE_TO
-    for _ in range(int(max(0.0, math.ceil(_RAISE_TO - lo)))):
-        mask = small < _RAISE_TO
-        if not mask.any():
-            break
-        acc[mask] += gap[mask] / (big[mask] * small[mask])
-        big = np.where(mask, big + 1.0, big)
-        small = np.where(mask, small + 1.0, small)
-    a, b, d = big, small, gap
+    for k in range(steps):
+        acc += gap / ((big + k) * (small + k))
+    a, b, d = big + steps, small + steps, gap
     ab = a * b
     a2, b2 = a * a, b * b
     a4, b4 = a2 * a2, b2 * b2

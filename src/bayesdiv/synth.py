@@ -136,8 +136,8 @@ class MarkovChainSpec:
         return int(self.S ** self.L)
 
 
-def build_markov_spec(S, L, seed=None, uniform=False):
-    """Random column-stochastic chain (or the uniform chain for debugging).
+def build_markov_spec(S, L, seed=None):
+    """Random column-stochastic chain.
 
     Transition columns are drawn i.i.d. uniform and normalized; the
     stationary distribution comes from power iteration to 1e-12.
@@ -147,11 +147,8 @@ def build_markov_spec(S, L, seed=None, uniform=False):
     if not (isinstance(L, (int, np.integer)) and L >= 1):
         raise ValueError("L must be a positive integer")
     rng = _rng_of(seed)
-    if uniform:
-        W = np.full((S, S), 1.0 / S)
-    else:
-        W = rng.uniform(size=(int(S), int(S)))
-        W /= W.sum(axis=0, keepdims=True)
+    W = rng.uniform(size=(int(S), int(S)))
+    W /= W.sum(axis=0, keepdims=True)
     pi = np.full(S, 1.0 / S)
     for _ in range(100_000):
         nxt = W @ pi

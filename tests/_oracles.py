@@ -118,6 +118,55 @@ def dkl_squared_pairwise(table, alpha, beta):
     return brute_double_sum(table, term)
 
 
+def kl_moments_mpmath(table, alpha, beta, dps=60):
+    """<D_KL> and <D_KL^2> at fixed (alpha, beta), at ``dps`` digits.
+
+    The pair terms of ``dkl_squared_pairwise`` summed over table rows u, v
+    with weight nu_u nu_v instead of over expanded categories: distinct
+    categories i != j give x_i x_j [(lq_i - lt_i)(lq_j - lt_j) - psi_1(X+2)
+    - psi_1(Y)], so the u = v rows subtract their own x_u^2 term once per
+    category, and each category adds its i = j term.  Here lq_i =
+    psi(x_i+1) - psi(X+2) and lt_i = psi(y_i) - psi(Y).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(float(alpha)), mpmath.mpf(float(beta))
+        X, Y = table.N + table.K * a, table.M + table.K * b
+        psi, psi1 = mpmath.digamma, lambda z: mpmath.polygamma(1, z)
+        rows = [(int(n) + a, int(m) + b, int(nu))
+                for n, m, nu in zip(table.n, table.m, table.nu)]
+        first = mpmath.fsum(
+            nu * x / X * (psi(x + 1) - psi(X + 1) - psi(y) + psi(Y)) for x, y, nu in rows
+        )
+        shared = psi1(X + 2) + psi1(Y)
+        d = [psi(x + 1) - psi(X + 2) - psi(y) + psi(Y) for x, y, _ in rows]   # lq - lt
+        pairs = mpmath.fsum(
+            nu_u * x_u * nu_v * x_v * (d_u * d_v - shared)
+            for (x_u, _, nu_u), d_u in zip(rows, d) for (x_v, _, nu_v), d_v in zip(rows, d)
+        )
+        same_row = mpmath.fsum(
+            nu * x * x * (d_u * d_u - shared) for (x, _, nu), d_u in zip(rows, d)
+        )
+        diag = mpmath.fsum(
+            nu * x * (x + 1) * ((psi(x + 2) - psi(X + 2) - psi(y) + psi(Y)) ** 2
+                                + psi1(x + 2) - psi1(X + 2) + psi1(y) - psi1(Y))
+            for x, y, nu in rows
+        )
+        second = (pairs - same_row + diag) / (X * (X + 1))
+        return float(first), float(second)
+
+
+def uniform_chain(S, L):
+    """The chain whose every transition has probability 1/S.
+
+    Its L-grams are equally likely, so their entropy is exactly L ln S.
+    """
+    from bayesdiv.synth import MarkovChainSpec
+
+    return MarkovChainSpec(W=np.full((S, S), 1.0 / S), pi=np.full(S, 1.0 / S), L=L)
+
+
 def lgram_enumeration(spec):
     """All L-gram probabilities of a Markov chain by explicit products."""
     S, L = spec.S, spec.L

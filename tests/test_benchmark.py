@@ -1,5 +1,6 @@
 """Tests for the convergence benchmark harness."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from bayesdiv.benchmark import (
     ExperimentConfig,
     Row,
     compute_nstar,
-    read_rows_csv,
     run_convergence,
     run_nstar,
     write_nstar_csv,
@@ -192,7 +192,23 @@ def test_csv_round_trip_exact(tmp_path):
     rows = run_convergence(SMALL)
     path = tmp_path / "rows.csv"
     write_rows_csv(rows, path)
-    assert read_rows_csv(path) == rows
+    with open(path, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    # floats are written as repr, which parses back to the same double; a
+    # missing posterior_std is an empty field
+    assert records == [
+        {
+            "estimator": row.estimator,
+            "N": str(row.N),
+            "rep": str(row.rep),
+            "estimate": repr(row.estimate),
+            "true_value": repr(row.true_value),
+            "posterior_std": "" if row.posterior_std is None else repr(row.posterior_std),
+        }
+        for row in rows
+    ]
+    assert any(row.posterior_std is None for row in rows)
+    assert [float(rec["estimate"]) for rec in records] == [row.estimate for row in rows]
 
 
 def test_csv_byte_identical_across_runs(tmp_path):
@@ -243,26 +259,9 @@ def test_nstar_monotone_under_passing_extension():
     assert compute_nstar(rescued)["b"] == 80
 
 
-def test_nstar_band_parameter():
-    rows = _curve_rows("a", [1.2, 1.04, 1.03])
-    assert compute_nstar(rows, band=0.5) == {"a": 10}
-    assert compute_nstar(rows, band=0.01) == {"a": None}
-
-
 def test_nstar_zero_truth_never_converges():
     rows = [Row("a", 10, 0, 0.0, 0.0, None), Row("a", 20, 0, 0.0, 0.0, None)]
     assert compute_nstar(rows) == {"a": None}
-
-
-def test_nstar_normalized_averages_per_rep_ratios():
-    rows = [
-        Row("a", 10, 0, 0.55, 0.5, None),
-        Row("a", 10, 1, 1.70, 2.0, None),
-    ]
-    # plain mean ratio 1.125/1.25 = 0.90 sits outside the band,
-    # per-repetition ratios average to (1.1 + 0.85)/2 = 0.975 inside it
-    assert compute_nstar(rows) == {"a": None}
-    assert compute_nstar(rows, normalized=True) == {"a": 10}
 
 
 def test_nstar_multiple_estimators_scored_independently():

@@ -5,6 +5,7 @@ whatever landed on stdout or in the output file.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -216,6 +217,52 @@ def test_convergence_malformed_config_line_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+# (key, value, the ExperimentConfig fields it sets).  A config file may
+# spell the key with "_" or "-".  hellinger2 needs an estimator list
+# without zhang, which is KL-only.
+SETTINGS = [
+    ("generator", "markov", {"generator": "markov"}),
+    ("k", "7", {"K": 7}),
+    ("states", "5", {"states": 5}),
+    ("gram_length", "3", {"gram_length": 3}),
+    ("alpha", "2.5", {"alpha_true": 2.5}),
+    ("beta", "0.5", {"beta_true": 0.5}),
+    ("ladder", "10,20", {"size_ladder": (10, 20)}),
+    ("reps", "3", {"repetitions": 3}),
+    ("estimator", "naive,zhang", {"estimators": ("naive", "zhang")}),
+    ("divergence", "hellinger2", {"divergence": "hellinger2", "estimators": ("naive",)}),
+    ("seed", "9", {"master_seed": 9}),
+    ("nested_subsample", "yes", {"nested_subsample": True}),
+    ("parent_size", "50000", {"parent_size": 50000}),
+    ("workers", "2", {"workers": 2}),
+]
+
+
+def test_settings_cover_every_config_field():
+    covered = {name for _, _, set_fields in SETTINGS for name in set_fields}
+    assert covered == {f.name for f in fields(benchmark.ExperimentConfig)}
+
+
+@pytest.mark.parametrize("via", ["flag", "config_", "config-"])
+@pytest.mark.parametrize("key, text, set_fields", SETTINGS, ids=[s[0] for s in SETTINGS])
+def test_every_setting_reaches_the_config(tmp_path, monkeypatch, via, key, text, set_fields):
+    seen = []
+    monkeypatch.setattr(benchmark, "run_convergence", lambda c: seen.append(c) or [])
+    argv = ["convergence", "--out", str(tmp_path / "c.csv")]
+    if via == "flag":
+        argv.append("--" + key.replace("_", "-"))
+        if key != "nested_subsample":
+            argv.append(text)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key.replace('_', via[-1])} = {text}\n")
+        argv += ["--config", str(cfg)]
+    if key == "divergence":
+        argv += ["--estimator", "naive"]
+    assert main(argv) == 0
+    assert seen == [benchmark.ExperimentConfig(**set_fields)]
+
+
 # --- nstar ---------------------------------------------------------------------------
 
 def test_nstar_grid_csv(tmp_path, capsys):
@@ -245,3 +292,9 @@ def test_nstar_markov_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "Dirichlet" in capsys.readouterr().err
+
+
+def test_nstar_empty_alpha_list_exits_2(tmp_path, capsys):
+    code = main(["nstar", "--alpha", ",", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "--alpha" in capsys.readouterr().err

@@ -27,13 +27,18 @@ from bayesdiv.estimators import (
 from bayesdiv.posterior import HyperParams, log_evidence_gradient, posterior_dkl
 from bayesdiv.specfun import delta_psi
 from bayesdiv.synth import (
-    build_markov_spec,
     sample_dirichlet,
     sample_lgrams,
     sample_multinomial,
 )
 
-from _oracles import expand_counts, random_count_pair, whole_box_mixture, zhang_series
+from _oracles import (
+    expand_counts,
+    random_count_pair,
+    uniform_chain,
+    whole_box_mixture,
+    zhang_series,
+)
 
 
 def _dirichlet_table(K, size, seed, alpha=1.0, beta=1.0):
@@ -354,7 +359,7 @@ def test_estimate_dispatches_on_name_and_divergence():
 # --- NSB entropy -----------------------------------------------------------------------
 
 def test_nsb_uniform_chain_recovers_log_k():
-    spec = build_markov_spec(20, 2, 1, uniform=True)
+    spec = uniform_chain(20, 2)
     counts = sample_lgrams(spec, 4000, 2)
     report = estimate_entropy_nsb(counts, 400)
     assert report.value == pytest.approx(math.log(400), rel=0.05)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bayesdiv.counts import build_table
-from bayesdiv.hyperprior import bhattacharyya_factor
+from bayesdiv.hyperprior import _log_g
 from bayesdiv.posterior import (
     HyperParams,
     dkl_grid,
@@ -20,13 +20,17 @@ from bayesdiv.posterior import (
     log_evidence_gradient,
     posterior_dkl,
     posterior_dkl_squared,
-    posterior_entropy,
     posterior_hellinger_sq,
     prior_mean_crossentropy,
     prior_mean_entropy,
 )
 
-from _oracles import dkl_squared_pairwise, posterior_mc, random_count_pair
+from _oracles import (
+    dkl_squared_pairwise,
+    kl_moments_mpmath,
+    posterior_mc,
+    random_count_pair,
+)
 
 
 def _hp(alpha, beta, K):
@@ -266,7 +270,7 @@ def test_posterior_hellinger_empty_table_half_concentration():
 def test_posterior_hellinger_empty_table_is_prior_identity():
     table = build_table([], [], 9)
     for alpha, beta in [(0.2, 3.0), (1.0, 1.0), (15.0, 0.05)]:
-        want = 1.0 - bhattacharyya_factor(alpha, 9) * bhattacharyya_factor(beta, 9)
+        want = 1.0 - np.exp(_log_g(alpha, 9) + _log_g(beta, 9))
         got = posterior_hellinger_sq(table, _hp(alpha, beta, 9))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -321,13 +325,13 @@ def test_hellinger_grid_matches_mpmath():
 def test_posterior_entropy_hand_value():
     # K=2, n=(1,0), alpha=1: (2/3) d_psi(4,3) + (1/3) d_psi(4,2) = 1/2
     table = build_table([1, 0], [0, 0], 2)
-    assert posterior_entropy(table, 1.0, 1) == pytest.approx(0.5, abs=1e-14)
+    assert entropy_grid(table, [1.0], 1)[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_posterior_entropy_empty_table_is_prior_mean():
     table = build_table([], [], 30)
     for alpha in (0.1, 1.0, 10.0):
-        assert posterior_entropy(table, alpha, 1) == pytest.approx(
+        assert entropy_grid(table, [alpha], 1)[0] == pytest.approx(
             prior_mean_entropy(alpha, 30), rel=1e-13
         )
 
@@ -337,8 +341,27 @@ def test_posterior_entropy_bounded_by_log_k():
     for _ in range(50):
         n, m, K = random_count_pair(rng, max_k=15, max_count=20)
         alpha = float(np.exp(rng.uniform(-2, 2)))
-        value = posterior_entropy(build_table(n, m, K), alpha, 1)
+        value = entropy_grid(build_table(n, m, K), [alpha], 1)[0]
         assert 0.0 < value <= math.log(K)
+
+
+@pytest.mark.parametrize("K, N", [(400, 25), (13, 60)])
+def test_kl_moment_grids_match_mpmath(K, N):
+    # dkl_squared_pairwise shares the grids' double-precision rounding;
+    # this reference sums the same terms at 60 digits.  Concentrations
+    # span tiny to large, with beta unequal to alpha.
+    rng = np.random.default_rng(12)
+    n = rng.multinomial(N, rng.dirichlet(np.ones(K)))
+    m = rng.multinomial(N, rng.dirichlet(np.ones(K)))
+    table = build_table(n, m, K)
+    alphas, betas = [1e-6, 1.0, 100.0], [2e-6, 1.3, 130.0]
+    first = dkl_grid(table, alphas, betas)
+    second = dkl_squared_grid(table, alphas, betas)
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(betas):
+            want_first, want_second = kl_moments_mpmath(table, a, b)
+            assert first[i, j] == pytest.approx(want_first, rel=1e-12), (a, b)
+            assert second[i, j] == pytest.approx(want_second, rel=1e-9), (a, b)
 
 
 # --- grid versions agree with scalar loops ------------------------------------------
@@ -367,4 +390,4 @@ def test_grids_match_scalar_evaluations():
 
     got_ent = entropy_grid(table, alphas, 1)
     for i, a in enumerate(alphas):
-        assert got_ent[i] == pytest.approx(posterior_entropy(table, float(a), 1), rel=1e-12)
+        assert got_ent[i] == pytest.approx(entropy_grid(table, [a], 1)[0], rel=1e-12)

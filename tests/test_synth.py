@@ -19,7 +19,7 @@ from bayesdiv.synth import (
     sample_multinomial,
 )
 
-from _oracles import lgram_enumeration
+from _oracles import lgram_enumeration, uniform_chain
 
 
 # --- exact divergences -------------------------------------------------------
@@ -157,9 +157,11 @@ def test_markov_spec_deterministic():
 
 
 def test_uniform_chain_stationary_and_entropy():
-    spec = build_markov_spec(20, 3, 0, uniform=True)
-    np.testing.assert_allclose(spec.pi, 1 / 20, atol=1e-13)
-    assert markov_entropy(spec) == pytest.approx(3 * math.log(20), rel=1e-13)
+    # power iteration finds the stationary distribution of a random chain;
+    # the uniform chain's L-gram entropy is exactly L ln S
+    spec = build_markov_spec(20, 3, 0)
+    np.testing.assert_allclose(spec.W @ spec.pi, spec.pi, atol=1e-13)
+    assert markov_entropy(uniform_chain(20, 3)) == pytest.approx(3 * math.log(20), rel=1e-13)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -217,7 +219,7 @@ def test_sample_lgrams_frequencies_match_distribution():
 
 
 def test_uniform_chain_lgrams_equifrequent():
-    spec = build_markov_spec(5, 2, 0, uniform=True)
+    spec = uniform_chain(5, 2)
     counts = sample_lgrams(spec, 500_000, 61)
     freq = counts / counts.sum()
     assert np.all(np.abs(freq - 1 / 25) < 5 * math.sqrt((1 / 25) * (24 / 25) / 500_000))
