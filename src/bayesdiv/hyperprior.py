@@ -57,30 +57,28 @@ def prior_crossentropy_slope(beta, K):
     return K * trigamma(K * b) - trigamma(b)
 
 
-def _log_phi_kl(z, K):
-    # density of z = B - A made log-uniform: rho(z) ~ 1/z, divided by the
-    # overlap length min(z, ln K) of the (A, B) strip at fixed z
-    lnK = np.log(K)
-    return np.where(z < lnK, -2.0 * np.log(z), -np.log(z) - np.log(lnK))
-
-
 def log_weight_kl(alpha, beta, K):
     """ln of the KL flattening weight rho(alpha, beta), up to a constant.
 
     Composed of the two Jacobians |dA/dalpha|, |dB/dbeta| and the target
-    density in z = B(beta) - A(alpha).
+    density in z = B(beta) - A(alpha): rho(z) ~ 1/z made log-uniform,
+    divided by the overlap length min(z, ln K) of the (A, B) strip at
+    fixed z.
     """
     a = _positive(alpha, "alpha")
     b = _positive(beta, "beta")
     K = _check_K(K)
-    z = prior_mean_crossentropy(b, K) - prior_mean_entropy(a, K)
-    if not np.all(z > 0):
+    mean_a = prior_mean_entropy(a, K)
+    mean_b = prior_mean_crossentropy(b, K)
+    # A < ln K < B for every alpha and beta, so this is z > 0 everywhere
+    if not np.min(mean_b) > np.max(mean_a):
         raise ValueError("prior mean cross-entropy must exceed mean entropy")
-    out = (
-        np.log(prior_entropy_slope(a, K))
-        + np.log(-prior_crossentropy_slope(b, K))
-        + _log_phi_kl(z, K)
-    )
+    log_z = np.log(mean_b - mean_a)
+    # ln phi(z) = -ln z - ln min(z, ln K)
+    out = np.minimum(log_z, np.log(np.log(K)))
+    out += log_z
+    out = np.log(prior_entropy_slope(a, K)) - out
+    out += np.log(-prior_crossentropy_slope(b, K))
     if np.ndim(alpha) == 0 and np.ndim(beta) == 0:
         return float(out)
     return out

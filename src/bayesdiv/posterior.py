@@ -220,10 +220,20 @@ def posterior_hellinger_sq(table, hp):
 def dkl_squared_grid(table, alphas, betas):
     """<D_KL^2> on the (alphas, betas) grid.
 
-    The category double sum splits into an i=j part and an i!=j part; each
-    factors into alpha-only vectors, beta-only vectors, and a handful of
-    (A,U)x(U,B) matrix products.  x_i = n_i + alpha being affine in alpha
-    lets the mixed single sums collapse to outer products.
+    With X = N + K alpha, Y = M + K beta, x_i = n_i + alpha, y_i = m_i +
+    beta, p_i = psi(x_i+1) - psi(X+2) and t_i = psi(y_i) - psi(Y), the
+    category double sum reduces to
+
+        X(X+1) <D^2> = d^2 + sum_i x_i [(x_i+1)(p_i + 1/(x_i+1) - t_i)^2
+                       - x_i (p_i - t_i)^2 + (x_i+1)(psi_1(x_i+2) + psi_1(y_i))]
+                       - X(X+1) (psi_1(X+2) + psi_1(Y))
+
+    with d = sum_i x_i (p_i - t_i).  Since x_i = n_i + alpha is affine in
+    alpha, d is an alpha row less an alpha-affine beta column; expanding
+    the single sum in powers of t_i leaves an alpha row and three
+    (A,U)x(U,B) matrix products.  p and t are both shifted by ln K, which
+    cancels in every p - t, so that near the uniform distribution the
+    expanded terms stay small and lose few digits.
     """
     _check_table(table)
     alphas = _grid_vec(alphas, "alphas")
@@ -236,42 +246,24 @@ def dkl_squared_grid(table, alphas, betas):
     XX1 = X * (X + 1.0)
     y = table.m[None, :] + betas[:, None]           # (B, U)
     Y = table.M + K * betas                         # (B,)
-
-    P = delta_psi(x + 1.0, X[:, None] + 2.0)        # off-diagonal ln q shift
-    PD = delta_psi(x + 2.0, X[:, None] + 2.0)       # diagonal ln q shift
-    tri_X2 = trigamma(X + 2.0)                      # (A,)
-    tri_x2 = trigamma(x + 2.0)                      # (A, U)
-    T = delta_psi(y, Y[:, None])                    # (B, U)
-    tri_y = trigamma(y)                             # (B, U)
-    tri_Y = trigamma(Y)                             # (B,)
-
-    # i = j: weights Omega_ii = x(x+1)/(X(X+1))
-    od = nu[None, :] * x * (x + 1.0) / XX1[:, None]
-    diag_a = (od * (PD * PD + tri_x2)).sum(axis=1) - tri_X2 * od.sum(axis=1)
-    diag = diag_a[:, None]
-    diag = diag - 2.0 * ((od * PD) @ T.T)
-    diag = diag + od @ (T * T + tri_y).T
-    diag = diag - np.outer(od.sum(axis=1), tri_Y)
-
-    # i != j: full nu_u nu_v double sum, then subtract same-row u=v terms.
+    p = delta_psi(x + 1.0, X[:, None] + 2.0) + np.log(K)   # (A, U)
+    t = delta_psi(y, Y[:, None]) + np.log(K)              # (B, U)
     nx = nu[None, :] * x                            # (A, U), sums to X
-    sa = (nx * P).sum(axis=1)                       # (A,)
-    t_base = T @ (nu * table.n)                     # (B,)
-    t_slope = T @ nu                                # (B,)
-    sxt = t_base[None, :] + alphas[:, None] * t_slope[None, :]   # (A, B)
-    full = sa[:, None] * sa[:, None] - 2.0 * sa[:, None] * sxt + sxt * sxt
-    full = full - (tri_X2 * X * X)[:, None] - np.outer(X * X, tri_Y)
-    full /= XX1[:, None]
 
-    nx2 = nu[None, :] * x * x
-    sx2 = nx2.sum(axis=1)                           # (A,)
-    corr = ((nx2 * P * P).sum(axis=1) - tri_X2 * sx2)[:, None]
-    corr = corr - 2.0 * ((nx2 * P) @ T.T)
-    corr = corr + nx2 @ (T * T).T
-    corr = corr - np.outer(sx2, tri_Y)
-    corr /= XX1[:, None]
-
-    return diag + full - corr
+    # d = sum_u nu_u x_u p_u - (t . nu n + alpha t . nu), an (A, B) difference
+    out = np.multiply.outer(alphas, t @ nu)
+    out += t @ (nu * table.n)
+    np.subtract((nx * p).sum(axis=1)[:, None], out, out=out)
+    out *= out
+    out /= XX1[:, None]
+    row = nx * (p * p + 2.0 * p + 1.0 / (x + 1.0) + (x + 1.0) * trigamma(x + 2.0))
+    out += (row.sum(axis=1) / XX1 - trigamma(X + 2.0))[:, None]
+    out -= trigamma(Y)
+    w = nx / XX1[:, None]
+    out += (-2.0 * w * (p + 1.0)) @ t.T
+    out += w @ (t * t).T
+    out += (w * (x + 1.0)) @ trigamma(y).T
+    return out
 
 
 def posterior_dkl_squared(table, hp):

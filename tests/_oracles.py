@@ -195,12 +195,16 @@ def _literal_log_evidence(counts, nu, K, alphas):
 
 
 def whole_box_mixture(table, kind, nodes=2049, rows=128):
-    """Brute-force trapezoid posterior averages over the whole box.
+    """Brute-force composite Simpson posterior averages over the whole box.
 
-    Integrates on ``nodes`` evenly spaced points per axis in ln alpha (and
-    ln beta) over [ln 1e-6, ln 1e6], with the weight evidence x hyper-prior
-    x Jacobian.  ``kind`` is "kl" (returns mean and std), "hellinger2"
-    (mean, None) or "entropy" (the one-sample NSB mean of table.n, None).
+    Integrates on ``nodes`` (odd) evenly spaced points per axis in ln alpha
+    (and ln beta) over [ln 1e-6, ln 1e6], with the weight evidence x
+    hyper-prior x Jacobian.  Simpson weights (1, 4, 2, ..., 4, 1) are a
+    different rule from the library's end-corrected trapezoid.  Like it,
+    they err by O(h^4) where the weight does not vanish at the box edge;
+    the plain trapezoid errs by O(h^2) there.  ``kind`` is "kl" (returns
+    mean and std), "hellinger2" (mean, None) or "entropy" (the one-sample
+    NSB mean of table.n, None).
     Moment grids are evaluated ``rows`` alpha rows at a time.  They and
     the hyper-prior come from the library, which other tests check
     against Monte Carlo and mpmath; what this checks is the quadrature.
@@ -219,13 +223,13 @@ def whole_box_mixture(table, kind, nodes=2049, rows=128):
 
     u = np.linspace(math.log(1e-6), math.log(1e6), nodes)
     a = np.exp(u)
-    trap = np.ones(nodes)
-    trap[[0, -1]] = 0.5
+    simpson = np.ones(nodes)
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
     nu = table.nu.astype(float)
     ev_a = _literal_log_evidence(table.n, nu, table.K, a)
     if kind == "entropy":
         log_w = ev_a + np.log(prior_entropy_slope(a, table.K)) + u
-        w = np.exp(log_w - log_w.max()) * trap
+        w = np.exp(log_w - log_w.max()) * simpson
         return float(w @ entropy_grid(table, a, 1) / w.sum()), None
     ev_b = _literal_log_evidence(table.m, nu, table.K, a)
     log_prior = log_weight_kl if kind == "kl" else log_weight_hellinger
@@ -233,7 +237,7 @@ def whole_box_mixture(table, kind, nodes=2049, rows=128):
         ev_a[:, None] + ev_b[None, :] + log_prior(a[:, None], a[None, :], table.K)
         + u[:, None] + u[None, :]
     )
-    w = np.exp(log_w - log_w.max()) * np.outer(trap, trap)
+    w = np.exp(log_w - log_w.max()) * np.outer(simpson, simpson)
     first = second = 0.0
     for lo in range(0, nodes, rows):
         block = slice(lo, lo + rows)

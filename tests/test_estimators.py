@@ -232,6 +232,29 @@ def test_mixture_average_invariant_under_log_weight_shift():
         assert shifted == pytest.approx(base, rel=1e-12)
 
 
+def test_gregory_weights_are_fourth_order_at_the_window_ends():
+    # weights that do not vanish at the ends of [0, 4]: the trapezoid errs
+    # by 1.8e-3 and 4.6e-4 relative at 33 and 65 nodes on the 1-D case
+    e4 = math.exp(4.0)
+    mean_u = (3.0 * e4 + 1.0) / (e4 - 1.0)
+    for nodes, tol in ((33, 2.5e-5), (65, 2e-6)):
+        u = np.linspace(0.0, 4.0, nodes)
+        got = _mixture_average(u, [u * u])[0]
+        assert got == pytest.approx((10.0 * e4 - 2.0) / (e4 - 1.0), rel=tol)
+        uu, vv = np.meshgrid(u, u, indexing="ij")
+        got = _mixture_average(uu + vv, [uu * vv])[0]
+        assert got == pytest.approx(mean_u * mean_u, rel=tol)
+
+
+def test_mixture_average_stays_within_its_grid():
+    rng = np.random.default_rng(21)
+    for shape in ((7,), (33,), (6, 9), (65, 33)):
+        log_w = rng.normal(scale=20.0, size=shape)
+        grid = rng.uniform(-1.0, 1.0, size=shape)
+        avg = _mixture_average(log_w, [grid])[0]
+        assert grid.min() <= avg <= grid.max()
+
+
 def test_dpm_and_nsb_match_whole_box_oracle():
     tables = {
         "K=400 N=25": _dirichlet_table(400, 25, 31)[0],
@@ -277,6 +300,7 @@ def test_dpm_report_contract():
         "boundary_beta",
         "quad_error",
         "edge_mass",
+        "converged",
     ):
         assert key in report.diagnostics
     assert 0.0 <= report.diagnostics["quad_error"] <= 1e-6 * report.value
@@ -284,6 +308,31 @@ def test_dpm_report_contract():
     assert estimate_dkl_dp(table).posterior_std is None
     assert estimate_hellinger_dpm(table).posterior_std is None
     assert estimate_hellinger_dp(table).posterior_std is None
+
+
+def test_converged_flags_the_tables_that_stop_at_the_node_cap():
+    # the KL prior's kink at z = ln K keeps these two KL estimates short of
+    # the tolerance at the last level allowed
+    for table in (build_table([], [], 400), build_table([3, 0], [0, 3], 2)):
+        kl = estimate_dkl_dpm(table).diagnostics
+        assert kl["converged"] is False and kl["grid_bins_alpha"] == 1025
+        assert estimate_hellinger_dpm(table).diagnostics["converged"] is True
+    table = _dirichlet_table(400, 100, 32)[0]
+    assert estimate_dkl_dpm(table).diagnostics["converged"] is True
+    assert estimate_hellinger_dpm(table).diagnostics["converged"] is True
+
+
+def test_edge_reaching_posteriors_converge_within_257_nodes():
+    # weights that reach the box edge: with a plain trapezoid each of
+    # these runs to the 1025-node cap
+    for table in (_dirichlet_table(400, 50, 31)[0], _dirichlet_table(10000, 200, 33)[0]):
+        for report in (estimate_dkl_dpm(table), estimate_hellinger_dpm(table)):
+            diag = report.diagnostics
+            assert diag["boundary_alpha"] or diag["boundary_beta"]
+            assert diag["grid_bins_alpha"] <= 257 and diag["grid_bins_beta"] <= 257
+            assert diag["quad_error"] <= 1e-6 * report.value
+    for table in (build_table([], [], 400), build_table([3, 0], [0, 3], 2)):
+        assert estimate_hellinger_dpm(table).diagnostics["grid_bins_alpha"] <= 257
 
 
 def test_edge_mass_does_not_shrink_with_the_node_spacing():

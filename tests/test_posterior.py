@@ -345,15 +345,19 @@ def test_posterior_entropy_bounded_by_log_k():
         assert 0.0 < value <= math.log(K)
 
 
+def _moment_table(K, N):
+    rng = np.random.default_rng(12)
+    n = rng.multinomial(N, rng.dirichlet(np.ones(K)))
+    m = rng.multinomial(N, rng.dirichlet(np.ones(K)))
+    return build_table(n, m, K)
+
+
 @pytest.mark.parametrize("K, N", [(400, 25), (13, 60)])
 def test_kl_moment_grids_match_mpmath(K, N):
     # dkl_squared_pairwise shares the grids' double-precision rounding;
     # this reference sums the same terms at 60 digits.  Concentrations
     # span tiny to large, with beta unequal to alpha.
-    rng = np.random.default_rng(12)
-    n = rng.multinomial(N, rng.dirichlet(np.ones(K)))
-    m = rng.multinomial(N, rng.dirichlet(np.ones(K)))
-    table = build_table(n, m, K)
+    table = _moment_table(K, N)
     alphas, betas = [1e-6, 1.0, 100.0], [2e-6, 1.3, 130.0]
     first = dkl_grid(table, alphas, betas)
     second = dkl_squared_grid(table, alphas, betas)
@@ -362,6 +366,24 @@ def test_kl_moment_grids_match_mpmath(K, N):
             want_first, want_second = kl_moments_mpmath(table, a, b)
             assert first[i, j] == pytest.approx(want_first, rel=1e-12), (a, b)
             assert second[i, j] == pytest.approx(want_second, rel=1e-9), (a, b)
+
+
+def test_kl_second_moment_keeps_its_digits_at_large_concentrations():
+    # near the uniform distribution <D^2> is a small difference of
+    # (ln K)^2-sized terms, and the variance <D^2> - <D>^2 smaller still;
+    # (rel tolerance of <D^2>, of the variance) at each (alpha, beta)
+    table = _moment_table(400, 25)
+    for (a, b), (tol_second, tol_var) in {
+        (1e3, 1.3e4): (1e-10, 1e-8),
+        (1e4, 1.3e4): (1e-7, 1e-6),
+        (1e6, 1.3e6): (1e-7, 1e-6),
+    }.items():
+        want_first, want_second = kl_moments_mpmath(table, a, b)
+        first = dkl_grid(table, [a], [b])[0, 0]
+        second = dkl_squared_grid(table, [a], [b])[0, 0]
+        assert second == pytest.approx(want_second, rel=tol_second, abs=0), (a, b)
+        want_var = want_second - want_first * want_first
+        assert second - first * first == pytest.approx(want_var, rel=tol_var, abs=0), (a, b)
 
 
 # --- grid versions agree with scalar loops ------------------------------------------
