@@ -27,6 +27,7 @@ from . import estimators as est
 from . import synth
 from .counts import build_table
 from .estimators import ESTIMATOR_NAMES
+from .posterior import check_K
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -78,8 +79,7 @@ class ExperimentConfig:
         if self.generator not in ("dirichlet", "markov"):
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.generator == "dirichlet":
-            if self.K < 2:
-                raise ValueError("K must be at least 2")
+            check_K(self.K)
             if not (self.alpha_true > 0 and self.beta_true > 0):
                 raise ValueError("alpha_true and beta_true must be positive")
         else:
@@ -181,10 +181,6 @@ def _rep_rows(config, spec_q, spec_t, rep, rep_seed):
     return rows
 
 
-def _rep_rows_star(args):
-    return _rep_rows(*args)
-
-
 def _openblas_libraries():
     """Every OpenBLAS copy mapped into this process, as ctypes handles.
 
@@ -249,7 +245,7 @@ def run_convergence(config):
     ]
     if config.workers > 1:
         with _pool(config.workers) as pool:
-            chunks = list(pool.map(_rep_rows_star, tasks))
+            chunks = list(pool.map(_rep_rows, *zip(*tasks)))
     else:
         chunks = [_rep_rows(*task) for task in tasks]
     rows = [row for chunk in chunks for row in chunk]
@@ -293,22 +289,15 @@ def compute_nstar(rows):
         )
     out = {}
     for name, by_size in curves.items():
-        sizes = sorted(by_size)
-        inside = []
-        for size in sizes:
-            pairs = by_size[size]
-            mean_true = float(np.mean([t for _, t in pairs]))
+        out[name] = None
+        for size in sorted(by_size, reverse=True):
+            estimates, truths = zip(*by_size[size])
+            mean_true = float(np.mean(truths))
             if mean_true == 0.0:
-                inside.append(False)
-                continue
-            ratio = float(np.mean([e for e, _ in pairs])) / mean_true
-            inside.append(abs(ratio - 1.0) <= _NSTAR_BAND)
-        nstar = None
-        for i, size in enumerate(sizes):
-            if all(inside[i:]):
-                nstar = size
                 break
-        out[name] = nstar
+            if not abs(float(np.mean(estimates)) / mean_true - 1.0) <= _NSTAR_BAND:
+                break
+            out[name] = size
     return out
 
 

@@ -16,6 +16,8 @@ __all__ = [
     "load_count_files",
 ]
 
+_MAX_COUNT = int(np.iinfo(np.int64).max)   # of one count and of a sample's total
+
 
 @dataclass(frozen=True)
 class MultiplicityTable:
@@ -47,6 +49,17 @@ def _as_count_vector(counts, name):
     if np.any(arr < 0):
         raise ValueError(f"{name} must be non-negative")
     return arr
+
+
+def _total(counts, name):
+    """Exact sum of a non-negative int64 vector, below 2^31 entries long.
+
+    Its high and low 32-bit halves are summed apart, so neither sum wraps.
+    """
+    total = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+    if total > _MAX_COUNT:
+        raise ValueError(f"{name} total {total} exceeds {_MAX_COUNT}")
+    return total
 
 
 def build_table(counts1, counts2, K):
@@ -82,8 +95,8 @@ def build_table(counts1, counts2, K):
             nu = np.concatenate([[pad], nu])
     for arr in (n, m, nu):
         arr.setflags(write=False)
-    return MultiplicityTable(n=n, m=m, nu=nu, K=K,
-                             N=int(c1.sum()), M=int(c2.sum()))
+    return MultiplicityTable(n=n, m=m, nu=nu, K=K, N=_total(c1, "counts1"),
+                             M=_total(c2, "counts2"))
 
 
 # --- file ingestion -------------------------------------------------------
@@ -107,8 +120,8 @@ def _parse_count(text, path, lineno):
         value = int(text)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: not an integer count: {text!r}")
-    if value < 0:
-        raise ValueError(f"{path}:{lineno}: negative count")
+    if not 0 <= value <= _MAX_COUNT:
+        raise ValueError(f"{path}:{lineno}: count {value} outside 0..{_MAX_COUNT}")
     return value
 
 
@@ -147,24 +160,13 @@ def read_pair_csv(path):
             continue
         fields = line.split(",")
         if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two columns n,m")
+            raise ValueError(f"{path}:{lineno}: expected two columns n,m "
+                             "(one file is read as an n,m CSV)")
         n.append(_parse_count(fields[0].strip(), path, lineno))
         m.append(_parse_count(fields[1].strip(), path, lineno))
     if not n:
         raise ValueError(f"{path}: no count rows found")
     return np.array(n, dtype=np.int64), np.array(m, dtype=np.int64), len(n)
-
-
-def _sniff_format(path):
-    for _, line in _read_lines(path):
-        if line.startswith("#"):
-            continue
-        if "\t" in line:
-            return "tsv"
-        if "," in line:
-            return "csv"
-        raise ValueError(f"{path}: cannot tell TSV from CSV (no tab/comma)")
-    raise ValueError(f"{path}: no data lines")
 
 
 def load_count_files(path1, path2=None, k=None):
@@ -175,8 +177,6 @@ def load_count_files(path1, path2=None, k=None):
     or from the #K= headers (which must agree).
     """
     if path2 is None:
-        if _sniff_format(path1) != "csv":
-            raise ValueError(f"{path1}: single-file input must be n,m CSV")
         n, m, rows = read_pair_csv(path1)
         if k is not None and int(k) != rows:
             raise ValueError(f"{path1}: has {rows} rows but --k={k}")

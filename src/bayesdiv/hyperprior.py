@@ -18,8 +18,8 @@ Jacobian when integrating on log-spaced grids.
 
 import numpy as np
 
-from .posterior import prior_mean_crossentropy, prior_mean_entropy
-from .specfun import delta_psi, log_half_ratio, trigamma
+from .posterior import check_K, prior_mean_crossentropy, prior_mean_entropy
+from .specfun import check_positive, delta_psi, float_if_scalar, log_half_ratio, trigamma
 
 __all__ = [
     "prior_entropy_slope",
@@ -30,30 +30,17 @@ __all__ = [
 ]
 
 
-def _positive(x, name):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError(f"{name} must be finite and positive")
-    return arr
-
-
-def _check_K(K):
-    if not isinstance(K, (int, np.integer)) or K < 2:
-        raise ValueError("K must be an integer >= 2")
-    return int(K)
-
-
 def prior_entropy_slope(alpha, K):
     """dA/dalpha = K psi_1(K alpha + 1) - psi_1(alpha + 1); positive."""
-    a = _positive(alpha, "alpha")
-    K = _check_K(K)
+    a = check_positive(alpha, "alpha")
+    K = check_K(K)
     return K * trigamma(K * a + 1.0) - trigamma(a + 1.0)
 
 
 def prior_crossentropy_slope(beta, K):
     """dB/dbeta = K psi_1(K beta) - psi_1(beta); negative (B decreases)."""
-    b = _positive(beta, "beta")
-    K = _check_K(K)
+    b = check_positive(beta, "beta")
+    K = check_K(K)
     return K * trigamma(K * b) - trigamma(b)
 
 
@@ -65,9 +52,9 @@ def log_weight_kl(alpha, beta, K):
     divided by the overlap length min(z, ln K) of the (A, B) strip at
     fixed z.
     """
-    a = _positive(alpha, "alpha")
-    b = _positive(beta, "beta")
-    K = _check_K(K)
+    a = check_positive(alpha, "alpha")
+    b = check_positive(beta, "beta")
+    K = check_K(K)
     mean_a = prior_mean_entropy(a, K)
     mean_b = prior_mean_crossentropy(b, K)
     # A < ln K < B for every alpha and beta, so this is z > 0 everywhere
@@ -79,9 +66,7 @@ def log_weight_kl(alpha, beta, K):
     out += log_z
     out = np.log(prior_entropy_slope(a, K)) - out
     out += np.log(-prior_crossentropy_slope(b, K))
-    if np.ndim(alpha) == 0 and np.ndim(beta) == 0:
-        return float(out)
-    return out
+    return float_if_scalar(out, alpha, beta)
 
 
 # --- squared Hellinger ----------------------------------------------------
@@ -94,12 +79,10 @@ def _log_g(x, K):
 
 def bhattacharyya_factor_log_slope(x, K):
     """d ln g / dx, written as digamma differences to avoid cancellation."""
-    xv = _positive(x, "x")
-    K = _check_K(K)
+    xv = check_positive(x, "x")
+    K = check_K(K)
     out = delta_psi(xv + 0.5, xv) - K * delta_psi(K * xv + 0.5, K * xv)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float_if_scalar(out, x)
 
 
 def log_weight_hellinger(alpha, beta, K):
@@ -108,9 +91,9 @@ def log_weight_hellinger(alpha, beta, K):
     Makes z = 1 - g(alpha) g(beta) (the prior mean squared Hellinger
     distance) log-uniform after accounting for the bounded range of g.
     """
-    a = _positive(alpha, "alpha")
-    b = _positive(beta, "beta")
-    K = _check_K(K)
+    a = check_positive(alpha, "alpha")
+    b = check_positive(beta, "beta")
+    K = check_K(K)
     lg_a, lg_b = _log_g(a, K), _log_g(b, K)
     log_one_minus_z = lg_a + lg_b                    # ln(g g) <= 0
     z = -np.expm1(log_one_minus_z)                   # 1 - g g, in (0, 1)
@@ -126,6 +109,4 @@ def log_weight_hellinger(alpha, beta, K):
         lg_a + np.log(slope_a) + lg_b + np.log(slope_b)
         + 2.0 * log_one_minus_z - 2.0 * np.log(z) - np.log(2.0 - z)
     )
-    if np.ndim(alpha) == 0 and np.ndim(beta) == 0:
-        return float(out)
-    return out
+    return float_if_scalar(out, alpha, beta)

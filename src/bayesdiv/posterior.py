@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .counts import MultiplicityTable
-from .specfun import delta_psi, log_half_ratio, trigamma
+from .specfun import check_positive, delta_psi, log_half_ratio, trigamma
 
 __all__ = [
     "HyperParams",
@@ -41,29 +41,37 @@ class HyperParams:
     K: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be finite and positive")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be finite and positive")
-        if not isinstance(self.K, (int, np.integer)) or self.K < 2:
-            raise ValueError("K must be an integer >= 2")
+        check_positive(self.alpha, "alpha")
+        check_positive(self.beta, "beta")
+        check_K(self.K)
 
 
-def _check_table(table):
+def check_K(K):
+    """``K`` as an int; ValueError unless it is an integer >= 2."""
+    if not isinstance(K, (int, np.integer)) or K < 2:
+        raise ValueError("K must be an integer >= 2")
+    return int(K)
+
+
+def check_table(table):
+    """``table``; ValueError unless it is a MultiplicityTable."""
     if not isinstance(table, MultiplicityTable):
         raise ValueError("expected a MultiplicityTable")
     return table
 
 
-def _check_hp(table, hp):
+def _at_hp(grid, table, hp):
+    """``grid`` evaluated at the one point (hp.alpha, hp.beta)."""
     if not isinstance(hp, HyperParams):
         raise ValueError("expected HyperParams")
-    if hp.K != table.K:
+    if hp.K != check_table(table).K:
         raise ValueError(f"hyperparameter K={hp.K} != table K={table.K}")
-    return hp
+    return float(grid(table, [hp.alpha], [hp.beta])[0, 0])
 
 
 def _axis(table, which_sample):
+    """One sample's (counts, total) of a checked table."""
+    check_table(table)
     if which_sample == 1:
         return table.n, table.N
     if which_sample == 2:
@@ -72,24 +80,38 @@ def _axis(table, which_sample):
 
 
 def _grid_vec(values, name):
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d array")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError(f"{name} must be finite and positive")
+    arr = np.atleast_1d(check_positive(values, name))
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array")
     return arr
+
+
+def _sample_params(table, values, which_sample, name):
+    """Checked concentrations v, x = counts + v (a row per v), X = total + K v."""
+    counts, total = _axis(table, which_sample)
+    v = _grid_vec(values, name)
+    return v, counts[None, :] + v[:, None], total + table.K * v
+
+
+def _params(table, alphas, betas):
+    """Checked (alphas, betas, x, X, y, Y) of the two samples' posteriors."""
+    alphas, x, X = _sample_params(table, alphas, 1, "alphas")
+    betas, y, Y = _sample_params(table, betas, 2, "betas")
+    return alphas, betas, x, X, y, Y
 
 
 # --- prior means ----------------------------------------------------------
 
 def prior_mean_entropy(alpha, K):
     """Prior expectation of the entropy of q: always below ln K."""
-    return delta_psi(np.asarray(alpha) * K + 1.0, np.asarray(alpha) + 1.0)
+    a = check_positive(alpha, "alpha")
+    return delta_psi(a * K + 1.0, a + 1.0)
 
 
 def prior_mean_crossentropy(beta, K):
     """Prior expectation of the cross-entropy -sum q ln t: always above ln K."""
-    return delta_psi(np.asarray(beta) * K, np.asarray(beta))
+    b = check_positive(beta, "beta")
+    return delta_psi(b * K, b)
 
 
 # --- evidence -------------------------------------------------------------
@@ -105,9 +127,8 @@ def log_evidence_grid(table, alphas, which_sample=1):
     digits that separate alphas on a flat evidence; this form keeps them.
     The dropped constant cancels in every posterior ratio.
     """
-    _check_table(table)
-    alphas = _grid_vec(alphas, "alphas")
     counts, total = _axis(table, which_sample)
+    alphas = _grid_vec(alphas, "alphas")
     seen = counts > 0
     n = counts[seen].astype(float)
     out = -(_sp.betaln(alphas[:, None], n) @ table.nu[seen].astype(float))
@@ -118,8 +139,6 @@ def log_evidence_grid(table, alphas, which_sample=1):
 
 def log_evidence(table, alpha, which_sample=1):
     """ln P(counts | alpha) for one sample, up to an alpha-free constant."""
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be finite and positive")
     return float(log_evidence_grid(table, [alpha], which_sample)[0])
 
 
@@ -128,24 +147,21 @@ def log_evidence_gradient(table, alpha, which_sample=1):
 
     ``alpha`` may be a scalar or a 1-d array; the result has its shape.
     """
-    _check_table(table)
-    a = np.asarray(alpha, dtype=float)
-    av = _grid_vec(a, "alpha")
     counts, total = _axis(table, which_sample)
+    av = _grid_vec(alpha, "alpha")
     K = table.K
     nz = counts > 0
     out = -K * delta_psi(total + K * av, K * av)
     if nz.any():
         per_pair = delta_psi(counts[nz][None, :] + av[:, None], av[:, None])
         out += per_pair @ table.nu[nz].astype(float)
-    return float(out[0]) if a.ndim == 0 else out
+    return float(out[0]) if np.ndim(alpha) == 0 else out
 
 
 def log_evidence_curvature(table, alpha, which_sample=1):
     """d^2/d(alpha)^2 of log_evidence at one alpha, as trigamma differences."""
-    _check_table(table)
     counts, total = _axis(table, which_sample)
-    K, a = table.K, float(alpha)
+    K, a = table.K, float(check_positive(alpha, "alpha"))
     nz = counts > 0
     out = -K * K * (trigamma(total + K * a) - trigamma(K * a))
     if nz.any():
@@ -157,11 +173,7 @@ def log_evidence_curvature(table, alpha, which_sample=1):
 
 def entropy_grid(table, alphas, which_sample=1):
     """Posterior mean entropy of one sample's distribution, over alphas."""
-    _check_table(table)
-    alphas = _grid_vec(alphas, "alphas")
-    counts, total = _axis(table, which_sample)
-    x = counts[None, :] + alphas[:, None]
-    X = total + table.K * alphas
+    _, x, X = _sample_params(table, alphas, which_sample, "alphas")
     w = table.nu[None, :] * x / X[:, None]
     s = delta_psi(X[:, None] + 1.0, x + 1.0)
     return (w * s).sum(axis=1)
@@ -169,13 +181,7 @@ def entropy_grid(table, alphas, which_sample=1):
 
 def dkl_grid(table, alphas, betas):
     """Posterior mean KL divergence <D(q||t)> on the (alphas, betas) grid."""
-    _check_table(table)
-    alphas = _grid_vec(alphas, "alphas")
-    betas = _grid_vec(betas, "betas")
-    x = table.n[None, :] + alphas[:, None]
-    X = table.N + table.K * alphas
-    y = table.m[None, :] + betas[:, None]
-    Y = table.M + table.K * betas
+    _, _, x, X, y, Y = _params(table, alphas, betas)
     w = table.nu[None, :] * x / X[:, None]                  # (A, U)
     cross = delta_psi(Y[:, None], y)                        # (B, U)
     ent = delta_psi(X[:, None] + 1.0, x + 1.0)              # (A, U)
@@ -184,19 +190,12 @@ def dkl_grid(table, alphas, betas):
 
 def posterior_dkl(table, hp):
     """Posterior mean of D_KL(q||t) at fixed hyperparameters."""
-    _check_hp(_check_table(table), hp)
-    return float(dkl_grid(table, [hp.alpha], [hp.beta])[0, 0])
+    return _at_hp(dkl_grid, table, hp)
 
 
 def hellinger_sq_grid(table, alphas, betas):
     """Posterior mean squared Hellinger distance on the grid."""
-    _check_table(table)
-    alphas = _grid_vec(alphas, "alphas")
-    betas = _grid_vec(betas, "betas")
-    x = table.n[None, :] + alphas[:, None]
-    X = table.N + table.K * alphas
-    y = table.m[None, :] + betas[:, None]
-    Y = table.M + table.K * betas
+    _, _, x, X, y, Y = _params(table, alphas, betas)
     # B(1/2, X)/B(1/2, x_i) per category, the posterior mean of sqrt(q_i),
     # is sqrt(x_i/X) exp(h(x_i) - h(X)) with h = log_half_ratio; likewise
     # for t.  Both ratios are <= 1, so no overflow.
@@ -211,8 +210,7 @@ def hellinger_sq_grid(table, alphas, betas):
 
 def posterior_hellinger_sq(table, hp):
     """Posterior mean of DH^2(q,t) = 1 - sum_i sqrt(q_i t_i); in [0, 1]."""
-    _check_hp(_check_table(table), hp)
-    return float(hellinger_sq_grid(table, [hp.alpha], [hp.beta])[0, 0])
+    return _at_hp(hellinger_sq_grid, table, hp)
 
 
 # --- second moment of DKL -------------------------------------------------
@@ -235,17 +233,11 @@ def dkl_squared_grid(table, alphas, betas):
     cancels in every p - t, so that near the uniform distribution the
     expanded terms stay small and lose few digits.
     """
-    _check_table(table)
-    alphas = _grid_vec(alphas, "alphas")
-    betas = _grid_vec(betas, "betas")
+    alphas, _, x, X, y, Y = _params(table, alphas, betas)   # x (A, U), y (B, U)
     nu = table.nu.astype(float)
     K = table.K
 
-    x = table.n[None, :] + alphas[:, None]          # (A, U)
-    X = table.N + K * alphas                        # (A,)
     XX1 = X * (X + 1.0)
-    y = table.m[None, :] + betas[:, None]           # (B, U)
-    Y = table.M + K * betas                         # (B,)
     p = delta_psi(x + 1.0, X[:, None] + 2.0) + np.log(K)   # (A, U)
     t = delta_psi(y, Y[:, None]) + np.log(K)              # (B, U)
     nx = nu[None, :] * x                            # (A, U), sums to X
@@ -268,5 +260,4 @@ def dkl_squared_grid(table, alphas, betas):
 
 def posterior_dkl_squared(table, hp):
     """Posterior mean of D_KL(q||t)^2 at fixed hyperparameters."""
-    _check_hp(_check_table(table), hp)
-    return float(dkl_squared_grid(table, [hp.alpha], [hp.beta])[0, 0])
+    return _at_hp(dkl_squared_grid, table, hp)

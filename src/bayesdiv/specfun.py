@@ -19,7 +19,8 @@ __all__ = [
 ]
 
 
-def _validate_positive(x, name):
+def check_positive(x, name):
+    """``x`` as a float array; ValueError unless non-empty, finite and > 0."""
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
@@ -28,11 +29,16 @@ def _validate_positive(x, name):
     return arr
 
 
+def float_if_scalar(out, *args):
+    """``out`` as a float when every one of ``args`` is a scalar, else as is."""
+    return float(out) if all(np.ndim(a) == 0 for a in args) else out
+
+
 def trigamma(x):
     """psi_1(x) = d^2/dx^2 ln Gamma(x) for x > 0."""
-    arr = _validate_positive(x, "x")
+    arr = check_positive(x, "x")
     out = _sp.polygamma(1, arr)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return float_if_scalar(out, x)
 
 
 def log_half_ratio(x):
@@ -94,12 +100,10 @@ def delta_psi(z1, z2):
     Scalars and arrays (broadcast together) take the same route: the
     paired recurrence/asymptotic-difference kernel above.
     """
-    a1 = _validate_positive(z1, "z1")
-    a2 = _validate_positive(z2, "z2")
+    a1 = check_positive(z1, "z1")
+    a2 = check_positive(z2, "z2")
     b1, b2 = np.broadcast_arrays(a1, a2)
     big = np.maximum(b1, b2)
     small = np.minimum(b1, b2)
     out = np.sign(b1 - b2) * _delta_psi_kernel(big, small, big - small)
-    if np.ndim(z1) == 0 and np.ndim(z2) == 0:
-        return float(out)
-    return out
+    return float_if_scalar(out, z1, z2)

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .posterior import check_K
+
 __all__ = [
     "sample_dirichlet",
     "sample_multinomial",
@@ -41,8 +43,7 @@ def sample_dirichlet(K, alpha, seed=None):
     break the support requirements of exact divergences, so such draws
     are rejected and redrawn.
     """
-    if not (isinstance(K, (int, np.integer)) and K >= 2):
-        raise ValueError("K must be an integer of at least 2")
+    check_K(K)
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")
     rng = _rng_of(seed)

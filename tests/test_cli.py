@@ -120,6 +120,18 @@ def test_estimate_domain_error_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", ["csv", "tsv"])
+def test_estimate_count_past_int64_exits_2_naming_the_line(tmp_path, capsys, form):
+    big = 10**20
+    if form == "csv":
+        files = [_pair_csv(tmp_path, "pair.csv", [1, big], [2, 3])]
+    else:
+        files = [_tsv(tmp_path, "a.tsv", [1, big], k=4), _tsv(tmp_path, "b.tsv", [2, 3])]
+    code = main(["estimate", *files, "--estimator", "naive"])
+    assert code == 2
+    assert f"{files[0]}:{3 if form == 'tsv' else 2}:" in capsys.readouterr().err
+
+
 # --- convergence ---------------------------------------------------------------------
 
 CONV_FLAGS = [

@@ -94,8 +94,15 @@ def test_sum_over_categories_matches_expanded_sum():
     got = math.fsum((f * table.nu).tolist())
     n, m = expand_counts(table)
     want = math.fsum((ni + 0.5) * (mi + 2.0) for ni, mi in zip(n, m))
-    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
     assert len(n) == table.K
+
+
+def test_build_table_rejects_a_total_past_int64():
+    with pytest.raises(ValueError, match="counts1 total"):
+        build_table([5 * 10**18, 5 * 10**18], [1, 1], 2)
+    table = build_table([2**62, 2**62 - 1], [1, 1], 2)
+    assert table.N == 2**63 - 1
 
 
 def test_double_sum_counts_all_ordered_pairs():

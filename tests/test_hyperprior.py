@@ -22,7 +22,7 @@ from bayesdiv.posterior import prior_mean_crossentropy, prior_mean_entropy
 def test_entropy_slope_hand_value():
     # dA/dalpha at alpha=1, K=2: 2 psi_1(3) - psi_1(2) = pi^2/6 - 3/2
     want = math.pi**2 / 6 - 1.5
-    assert prior_entropy_slope(1.0, 2) == pytest.approx(want, rel=1e-14)
+    assert prior_entropy_slope(1.0, 2) == pytest.approx(want, rel=1e-14, abs=0)
     assert prior_entropy_slope(1.0, 2) == pytest.approx(0.1449340668482264, abs=1e-15)
 
 
@@ -114,7 +114,7 @@ def test_log_weight_hellinger_matches_mpmath_near_the_large_corner(K):
             log_gg + mpmath.log(slope(a)) + mpmath.log(slope(b))
             + 2 * log_gg - 2 * mpmath.log(z) - mpmath.log(2 - z)
         )
-        assert log_weight_hellinger(alpha, beta, K) == pytest.approx(truth, rel=1e-9)
+        assert log_weight_hellinger(alpha, beta, K) == pytest.approx(truth, rel=1e-9, abs=0)
 
 
 def test_bhattacharyya_log_slope_positive():
@@ -173,13 +173,13 @@ def test_kl_weight_phi_branches():
     lo_a, lo_b = 1.0, 50.0
     z_lo = z_of(lo_a, lo_b)
     assert z_lo < log_k
-    assert _phi_part(lo_a, lo_b, K) == pytest.approx(-2 * math.log(z_lo), rel=1e-12)
+    assert _phi_part(lo_a, lo_b, K) == pytest.approx(-2 * math.log(z_lo), rel=1e-12, abs=0)
 
     hi_a, hi_b = 10.0, 1e-4
     z_hi = z_of(hi_a, hi_b)
     assert z_hi > log_k
     assert _phi_part(hi_a, hi_b, K) == pytest.approx(
-        -math.log(z_hi) - math.log(log_k), rel=1e-12
+        -math.log(z_hi) - math.log(log_k), rel=1e-12, abs=0
     )
 
     # continuity probe: solve for pairs with z just below / above ln K
@@ -226,7 +226,7 @@ def test_log_weight_hellinger_matches_component_assembly():
             - 2.0 * math.log(z)
             - math.log(2.0 - z)
         )
-        assert log_weight_hellinger(alpha, beta, K) == pytest.approx(want, rel=1e-9)
+        assert log_weight_hellinger(alpha, beta, K) == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_extreme_corners_stay_finite():

@@ -61,7 +61,7 @@ def test_log_evidence_empty_table_is_zero():
 def test_log_evidence_single_count_example():
     # K=2, n=(1,0), alpha=1: ln[Gamma(2)Gamma(1)/Gamma(3)] - ln[Gamma(1)^2/Gamma(2)]
     table = build_table([1, 0], [0, 0], 2)
-    assert log_evidence(table, 1.0, 1) == pytest.approx(math.log(0.5), rel=1e-14)
+    assert log_evidence(table, 1.0, 1) == pytest.approx(math.log(0.5), rel=1e-14, abs=0)
 
 
 def test_log_evidence_grid_matches_scalar():
@@ -135,7 +135,7 @@ def test_log_evidence_curvature_matches_gradient_differences():
                 - log_evidence_gradient(table, alpha - h, which)
             ) / (2 * h)
             got = log_evidence_curvature(table, alpha, which)
-            assert got == pytest.approx(fd, rel=1e-7)
+            assert got == pytest.approx(fd, rel=1e-7, abs=0)
 
 
 # --- prior means --------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_posterior_hellinger_empty_table_is_prior_identity():
     for alpha, beta in [(0.2, 3.0), (1.0, 1.0), (15.0, 0.05)]:
         want = 1.0 - np.exp(_log_g(alpha, 9) + _log_g(beta, 9))
         got = posterior_hellinger_sq(table, _hp(alpha, beta, 9))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_posterior_hellinger_orders_identical_before_disjoint():
@@ -319,7 +319,7 @@ def test_hellinger_grid_matches_mpmath():
                 for ni, mi, nu in zip(table.n, table.m, table.nu)
             )
             got = hellinger_sq_grid(table, [alpha], [beta])[0, 0]
-            assert got == pytest.approx(float(want), rel=1e-8), (alpha, beta)
+            assert got == pytest.approx(float(want), rel=1e-8, abs=0), (alpha, beta)
 
 
 def test_posterior_entropy_hand_value():
@@ -332,7 +332,7 @@ def test_posterior_entropy_empty_table_is_prior_mean():
     table = build_table([], [], 30)
     for alpha in (0.1, 1.0, 10.0):
         assert entropy_grid(table, [alpha], 1)[0] == pytest.approx(
-            prior_mean_entropy(alpha, 30), rel=1e-13
+            prior_mean_entropy(alpha, 30), rel=1e-13, abs=0
         )
 
 
@@ -364,8 +364,8 @@ def test_kl_moment_grids_match_mpmath(K, N):
     for i, a in enumerate(alphas):
         for j, b in enumerate(betas):
             want_first, want_second = kl_moments_mpmath(table, a, b)
-            assert first[i, j] == pytest.approx(want_first, rel=1e-12), (a, b)
-            assert second[i, j] == pytest.approx(want_second, rel=1e-9), (a, b)
+            assert first[i, j] == pytest.approx(want_first, rel=1e-12, abs=0), (a, b)
+            assert second[i, j] == pytest.approx(want_second, rel=1e-9, abs=0), (a, b)
 
 
 def test_kl_second_moment_keeps_its_digits_at_large_concentrations():
@@ -402,14 +402,14 @@ def test_grids_match_scalar_evaluations():
     for i, a in enumerate(alphas):
         for j, b in enumerate(betas):
             hp = _hp(float(a), float(b), 13)
-            assert got_dkl[i, j] == pytest.approx(posterior_dkl(table, hp), rel=1e-10)
+            assert got_dkl[i, j] == pytest.approx(posterior_dkl(table, hp), rel=1e-10, abs=0)
             assert got_sq[i, j] == pytest.approx(
-                dkl_squared_pairwise(table, float(a), float(b)), rel=1e-9
+                dkl_squared_pairwise(table, float(a), float(b)), rel=1e-9, abs=0
             )
             assert got_hell[i, j] == pytest.approx(
-                posterior_hellinger_sq(table, hp), rel=1e-11
+                posterior_hellinger_sq(table, hp), rel=1e-11, abs=0
             )
 
     got_ent = entropy_grid(table, alphas, 1)
     for i, a in enumerate(alphas):
-        assert got_ent[i] == pytest.approx(entropy_grid(table, [a], 1)[0], rel=1e-12)
+        assert got_ent[i] == pytest.approx(entropy_grid(table, [a], 1)[0], rel=1e-12, abs=0)

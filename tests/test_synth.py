@@ -32,13 +32,13 @@ def test_exact_dkl_identical_is_zero():
 def test_exact_dkl_hand_value():
     q = np.array([0.75, 0.25])
     t = np.array([0.25, 0.75])
-    assert exact_dkl(q, t) == pytest.approx(0.5 * math.log(3), rel=1e-14)
+    assert exact_dkl(q, t) == pytest.approx(0.5 * math.log(3), rel=1e-14, abs=0)
 
 
 def test_exact_dkl_ignores_zero_q_terms():
     q = np.array([0.5, 0.5, 0.0])
     t = np.array([0.25, 0.25, 0.5])
-    assert exact_dkl(q, t) == pytest.approx(math.log(2), rel=1e-14)
+    assert exact_dkl(q, t) == pytest.approx(math.log(2), rel=1e-14, abs=0)
 
 
 def test_exact_dkl_rejects_support_violation():
@@ -63,7 +63,7 @@ def test_exact_hellinger_bounds_and_symmetry():
     t = rng.dirichlet(np.ones(5))
     h = exact_hellinger_sq(q, t)
     assert 0.0 <= h <= 1.0
-    assert h == pytest.approx(exact_hellinger_sq(t, q), rel=1e-14)
+    assert h == pytest.approx(exact_hellinger_sq(t, q), rel=1e-14, abs=0)
     assert exact_hellinger_sq(q, q) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -79,7 +79,7 @@ def test_exact_hellinger_equals_half_squared_root_distance():
         q = rng.dirichlet(np.ones(8))
         t = rng.dirichlet(np.ones(8))
         want = 0.5 * np.sum((np.sqrt(q) - np.sqrt(t)) ** 2)
-        assert exact_hellinger_sq(q, t) == pytest.approx(want, rel=1e-12)
+        assert exact_hellinger_sq(q, t) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # --- samplers ------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_uniform_chain_stationary_and_entropy():
     # the uniform chain's L-gram entropy is exactly L ln S
     spec = build_markov_spec(20, 3, 0)
     np.testing.assert_allclose(spec.W @ spec.pi, spec.pi, atol=1e-13)
-    assert markov_entropy(uniform_chain(20, 3)) == pytest.approx(3 * math.log(20), rel=1e-13)
+    assert markov_entropy(uniform_chain(20, 3)) == pytest.approx(3 * math.log(20), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -189,7 +189,7 @@ def test_markov_crossentropy_dominates_entropy():
     spec_t = build_markov_spec(7, 2, 32)
     assert markov_crossentropy(spec_q, spec_t) >= markov_entropy(spec_q)
     assert markov_crossentropy(spec_q, spec_q) == pytest.approx(
-        markov_entropy(spec_q), rel=1e-13
+        markov_entropy(spec_q), rel=1e-13, abs=0
     )
 
 
