@@ -40,15 +40,16 @@ def _as_count_vector(counts, name):
     arr = np.asarray(counts)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        flt = np.asarray(arr, dtype=float)
-        if np.any(flt != np.round(flt)):
-            raise ValueError(f"{name} must hold integers")
-        arr = flt.astype(np.int64)
-    arr = arr.astype(np.int64)
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be non-negative")
-    return arr
+    if arr.size:
+        if not np.issubdtype(arr.dtype, np.integer):
+            flt = np.asarray(arr, dtype=float)
+            if np.any(flt != np.round(flt)):
+                raise ValueError(f"{name} must hold integers")
+        # the extremes as Python numbers, compared exactly before the cast
+        lo, hi = arr[[arr.argmin(), arr.argmax()]].tolist()
+        if not 0 <= lo <= hi <= _MAX_COUNT:
+            raise ValueError(f"{name} must lie in 0..{_MAX_COUNT}")
+    return arr.astype(np.int64)
 
 
 def _total(counts, name):
@@ -192,7 +193,7 @@ def load_count_files(path1, path2=None, k=None):
         K = header_k
     else:
         raise ValueError("K not given: pass --k or add a #K= header line")
-    cats = sorted(set(first) | set(second))
+    cats = first.keys() | second.keys()   # in any order: build_table sorts rows
     if len(cats) > K:
         raise ValueError(f"{len(cats)} categories seen but K={K}")
     n = np.array([first.get(c, 0) for c in cats], dtype=np.int64)

@@ -75,14 +75,7 @@ _GREGORY_ENDS = np.array([3 / 8, 7 / 6, 23 / 24])   # end-node weights, in steps
 
 PLUGIN_SCHEMES = ("naive", "jeffreys", "trybula", "perks")
 ESTIMATOR_NAMES = ("dpm", "dp") + PLUGIN_SCHEMES + ("zhang",)
-# divergence -> its hyper-prior, then its moment grids, the mean first.  They
-# are names in this module, looked up when called, so that a name rebound
-# here (as the benchmark's tracer does) is the one called.
-_DIVERGENCE_FNS = {
-    "kl": ("log_weight_kl", "dkl_grid", "dkl_squared_grid"),
-    "hellinger2": ("log_weight_hellinger", "hellinger_sq_grid"),
-}
-DIVERGENCES = tuple(_DIVERGENCE_FNS)
+DIVERGENCES = ("kl", "hellinger2")
 
 
 @dataclass
@@ -114,14 +107,8 @@ def _at_edge(u):
     return u <= _LOG_LO + _EDGE_TOL or u >= _LOG_HI - _EDGE_TOL
 
 
-def _divergence_fns(divergence):
-    """The hyper-prior and moment grids of ``divergence``, as bound now."""
-    return [globals()[name] for name in _DIVERGENCE_FNS[divergence]]
-
-
-def _dpm_log_weight(table, divergence):
+def _dpm_log_weight(table, log_prior):
     """ln(evidence x hyper-prior x alpha beta) on (ln alpha, ln beta) axes."""
-    log_prior = _divergence_fns(divergence)[0]
 
     def log_weight(ua, ub):
         a, b = np.exp(ua), np.exp(ub)
@@ -208,7 +195,7 @@ def _edge_mass(w, axes):
     return float(w[near].sum())
 
 
-def _quadrature(log_weight, moments, dims):
+def _quadrature(log_weight, moments, dims, names=("alpha", "beta")):
     """Posterior averages of ``moments`` over the whole box.
 
     Scans for the window, then evaluates the log weight and the moment
@@ -218,7 +205,9 @@ def _quadrature(log_weight, moments, dims):
     until _MAX_NODES.  Returns ``_mean_std`` of the last level's averages,
     and the diagnostics of the run; their ``quad_error`` is the largest
     change of a returned number between the level and its subgrid, and
-    ``converged`` says whether the last level met _QUAD_TOL.
+    ``converged`` says whether the last level met _QUAD_TOL.  ``names``
+    label the axes in the diagnostics, in the order of ``log_weight``'s
+    arguments.
     """
     window, stars, top, edges = _scan(log_weight, dims)
     nodes = _FIRST_NODES
@@ -238,7 +227,7 @@ def _quadrature(log_weight, moments, dims):
         nodes = 2 * nodes - 1
     diag = {"log_evidence_at_max": top, "edge_mass": _edge_mass(w, axes),
             "converged": converged}
-    for name, star, edge in zip(("alpha", "beta"), stars, edges):
+    for name, star, edge in sorted(zip(names, stars, edges)):   # alpha first
         diag[f"{name}_star"] = star
         diag[f"grid_bins_{name}"] = nodes
         diag[f"boundary_{name}"] = edge
@@ -327,60 +316,56 @@ def _canonical_orientation(table):
     The squared-Hellinger construction is symmetric in the two samples,
     but the quadrature sums its (alpha, beta) grid in a fixed order, so
     swapping the samples changes the rounding of the result.  Computing
-    on a canonical orientation restores exact symmetry.
+    on a canonical orientation restores exact symmetry.  Returns that
+    table and the caller's names of its two concentrations.
     """
     order = np.lexsort((table.n, table.m))
-    n, m = table.m[order].copy(), table.n[order].copy()
-    nu = table.nu[order].copy()
-    kept = (table.N, table.M,
-            table.n.tobytes(), table.m.tobytes(), table.nu.tobytes())
-    swapped = (table.M, table.N, n.tobytes(), m.tobytes(), nu.tobytes())
-    if kept <= swapped:
-        return table
-    for arr in (n, m, nu):
-        arr.setflags(write=False)
-    return MultiplicityTable(n=n, m=m, nu=nu, K=table.K, N=table.M, M=table.N)
+    swapped = MultiplicityTable(n=table.m[order], m=table.n[order],
+                                nu=table.nu[order], K=table.K, N=table.M,
+                                M=table.N)
+    kept, swap = ((t.N, t.M, t.n.tobytes(), t.m.tobytes(), t.nu.tobytes())
+                  for t in (table, swapped))
+    if kept <= swap:
+        return table, ("alpha", "beta")
+    return swapped, ("beta", "alpha")
 
 
-def _dpm_report(table, divergence):
+def _dpm_report(table, log_prior, grids, names=("alpha", "beta")):
     check_K(check_table(table).K)
-    if divergence == "hellinger2":
-        table = _canonical_orientation(table)
-    grids = _divergence_fns(divergence)[1:]
 
     def moments(ua, ub):
         a, b = np.exp(ua), np.exp(ub)
         return [fn(table, a, b) for fn in grids]
 
-    out, diag = _quadrature(_dpm_log_weight(table, divergence), moments, 2)
+    out, diag = _quadrature(_dpm_log_weight(table, log_prior), moments, 2, names)
     return EstimateReport(*out, diagnostics=diag)
 
 
 def estimate_dkl_dpm(table):
     """Mixture estimate of D_KL(q||t) with its posterior spread."""
-    return _dpm_report(table, "kl")
+    return _dpm_report(table, log_weight_kl, (dkl_grid, dkl_squared_grid))
 
 
 def estimate_hellinger_dpm(table):
     """Mixture estimate of the squared Hellinger distance DH^2(q, t)."""
-    return _dpm_report(table, "hellinger2")
+    table, names = _canonical_orientation(check_table(table))
+    return _dpm_report(table, log_weight_hellinger, (hellinger_sq_grid,), names)
 
 
-def _dp_report(table, divergence):
+def _dp_report(table, mean_grid):
     mx = maximize_log_posterior(table)
-    mean_grid = _divergence_fns(divergence)[1]
     value = mean_grid(table, [mx.alpha_star], [mx.beta_star])[0, 0]
     return EstimateReport(float(value), None, asdict(mx))
 
 
 def estimate_dkl_dp(table):
     """Posterior mean D_KL at the per-sample evidence maximizers."""
-    return _dp_report(table, "kl")
+    return _dp_report(table, dkl_grid)
 
 
 def estimate_hellinger_dp(table):
     """Posterior mean DH^2 at the per-sample evidence maximizers."""
-    return _dp_report(table, "hellinger2")
+    return _dp_report(table, hellinger_sq_grid)
 
 
 # --- plugins and Z --------------------------------------------------------

@@ -97,7 +97,9 @@ def log_weight_hellinger(alpha, beta, K):
     lg_a, lg_b = _log_g(a, K), _log_g(b, K)
     log_one_minus_z = lg_a + lg_b                    # ln(g g) <= 0
     z = -np.expm1(log_one_minus_z)                   # 1 - g g, in (0, 1)
-    if not np.all((z > 0) & (z < 1)):
+    # rounded addition and expm1 are monotone, so the axis extremes bound z
+    if not (-np.expm1(np.max(lg_a) + np.max(lg_b)) > 0
+            and -np.expm1(np.min(lg_a) + np.min(lg_b)) < 1):
         raise ValueError("1 - g(alpha) g(beta) must lie in (0, 1)")
     slope_a = bhattacharyya_factor_log_slope(a, K)
     slope_b = bhattacharyya_factor_log_slope(b, K)

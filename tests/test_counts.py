@@ -103,6 +103,7 @@ def test_build_table_rejects_a_total_past_int64():
         build_table([5 * 10**18, 5 * 10**18], [1, 1], 2)
     table = build_table([2**62, 2**62 - 1], [1, 1], 2)
     assert table.N == 2**63 - 1
+    assert build_table(np.array([2**63 - 1], dtype=np.uint64), [0], 2).N == 2**63 - 1
 
 
 def test_double_sum_counts_all_ordered_pairs():
@@ -170,6 +171,20 @@ def test_load_tsv_rejects_negative_and_garbage(tmp_path):
         load_count_files(bad2, f2, k=3)
 
 
+def test_tsv_line_order_does_not_change_the_table(tmp_path):
+    lines1 = ["#K=9", "a\t3", "b\t1", "c\t3", "d\t0"]
+    lines2 = ["b\t2", "e\t5", "a\t1", "f\t1"]
+    tables = []
+    for order in (slice(None), slice(None, None, -1)):
+        f1 = _write(tmp_path, "a.tsv", "\n".join(lines1[order]) + "\n")
+        f2 = _write(tmp_path, "b.tsv", "\n".join(lines2[order]) + "\n")
+        tables.append(load_count_files(f1, f2))
+    a, b = tables
+    assert (a.K, a.N, a.M) == (b.K, b.N, b.M) == (9, 7, 9)
+    for field in ("n", "m", "nu"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
 def test_load_single_csv(tmp_path):
     f = _write(tmp_path, "pair.csv", "2,2\n1,0\n0,1\n")
     table = load_count_files(f)
@@ -187,3 +202,11 @@ def test_load_too_many_categories_for_k(tmp_path):
     f2 = _write(tmp_path, "b.tsv", "0\t1\n")
     with pytest.raises(ValueError):
         load_count_files(f1, f2, k=2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", [2**63, 10**20, np.uint64(2**63), 1e19],
+                         ids=["int", "bigint", "uint64", "float"])
+def test_build_table_rejects_a_count_past_int64_before_the_cast(count):
+    with pytest.raises(ValueError, match="counts1 must lie in 0..9223372036854775807"):
+        build_table(np.array([count]), [1], 2)

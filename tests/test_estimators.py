@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bayesdiv import estimators
 from bayesdiv.counts import build_table
 from bayesdiv.estimators import (
     PLUGIN_SCHEMES,
@@ -25,6 +27,7 @@ from bayesdiv.estimators import (
     estimate_hellinger_plugin,
     maximize_log_posterior,
 )
+from bayesdiv.hyperprior import log_weight_kl
 from bayesdiv.posterior import HyperParams, log_evidence_gradient, posterior_dkl
 from bayesdiv.specfun import delta_psi
 from bayesdiv.synth import (
@@ -340,7 +343,7 @@ def test_edge_mass_does_not_shrink_with_the_node_spacing():
     # posteriors flat up to the box edge keep the same share near it when
     # the nodes of one window double
     for table in (build_table([], [], 400), build_table([3, 0], [0, 3], 2)):
-        log_weight = _dpm_log_weight(table, "kl")
+        log_weight = _dpm_log_weight(table, log_weight_kl)
         window = _scan(log_weight, 2)[0]
         shares = []
         for nodes in (513, 1025):
@@ -371,13 +374,65 @@ def test_estimators_invariant_under_category_permutation():
         assert estimate_dkl_plugin(a, scheme) == estimate_dkl_plugin(b, scheme)
 
 
-def test_hellinger_dpm_symmetric_under_sample_swap():
-    rng = np.random.default_rng(19)
-    n = rng.integers(0, 12, size=25)
-    m = rng.integers(0, 12, size=25)
-    forward = estimate_hellinger_dpm(build_table(n, m, 25)).value
-    backward = estimate_hellinger_dpm(build_table(m, n, 25)).value
-    assert forward == pytest.approx(backward, abs=1e-10)
+def _exchange_alpha_beta(diag):
+    return {k.replace("alpha", "@").replace("beta", "alpha").replace("@", "beta"): v
+            for k, v in diag.items()}
+
+
+@st.composite
+def _count_pairs(draw):
+    """K from 2 to 60, counts up to 1e4 on the listed categories; either
+    sample may be empty."""
+    K = draw(st.integers(2, 60))
+    listed = draw(st.integers(0, K))
+    sample = st.lists(st.integers(0, 10_000), min_size=listed, max_size=listed)
+    sample |= st.just([0] * listed)
+    return draw(sample), draw(sample), K
+
+
+@settings(max_examples=50, deadline=None)
+@given(_count_pairs())
+def test_hellinger_dpm_symmetric_under_sample_swap(pair):
+    n, m, K = pair
+    forward = estimate_hellinger_dpm(build_table(n, m, K))
+    backward = estimate_hellinger_dpm(build_table(m, n, K))
+    assert forward.value == backward.value
+    assert forward.diagnostics == _exchange_alpha_beta(backward.diagnostics)
+
+
+def test_hellinger_dpm_diagnostics_name_the_callers_samples():
+    # a sparse and a dense sample: their concentrations lie two decades
+    # apart, so a swapped label shows
+    rng = np.random.default_rng(1)
+    n = sample_multinomial(sample_dirichlet(200, 0.05, rng), 2000, rng)
+    m = sample_multinomial(sample_dirichlet(200, 5.0, rng), 2000, rng)
+    diag = estimate_hellinger_dpm(build_table(n, m, 200)).diagnostics
+    assert diag["alpha_star"] < 1.0 < diag["beta_star"]
+    swapped = estimate_hellinger_dpm(build_table(m, n, 200)).diagnostics
+    assert swapped == _exchange_alpha_beta(diag)
+
+
+def test_front_ends_call_their_own_hyper_prior_and_grids(monkeypatch):
+    # the benchmark's tracer rebinds these module names; each front-end
+    # must look its own up when called
+    names = ("log_weight_kl", "log_weight_hellinger", "dkl_grid",
+             "dkl_squared_grid", "hellinger_sq_grid")
+    called = set()
+    for name in names:
+        def counted(*args, _fn=getattr(estimators, name), _name=name):
+            called.add(_name)
+            return _fn(*args)
+        monkeypatch.setattr(estimators, name, counted)
+    table = build_table([3, 1, 0, 2], [1, 1, 2, 0], 4)
+    for front_end, own in (
+        (estimate_dkl_dpm, {"log_weight_kl", "dkl_grid", "dkl_squared_grid"}),
+        (estimate_hellinger_dpm, {"log_weight_hellinger", "hellinger_sq_grid"}),
+        (estimate_dkl_dp, {"dkl_grid"}),
+        (estimate_hellinger_dp, {"hellinger_sq_grid"}),
+    ):
+        called.clear()
+        front_end(table)
+        assert called == own, front_end.__name__
 
 
 def test_dpm_converges_on_dirichlet_truth():
