@@ -28,6 +28,7 @@ from . import synth
 from .counts import build_table
 from .estimators import ESTIMATOR_NAMES
 from .posterior import check_K
+from .specfun import check_positive
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -80,8 +81,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.generator == "dirichlet":
             check_K(self.K)
-            if not (self.alpha_true > 0 and self.beta_true > 0):
-                raise ValueError("alpha_true and beta_true must be positive")
+            check_positive(self.alpha_true, "alpha_true")
+            check_positive(self.beta_true, "beta_true")
         else:
             if self.states < 2 or self.gram_length < 1:
                 raise ValueError("markov generator needs states >= 2, gram_length >= 1")
@@ -109,16 +110,6 @@ class ExperimentConfig:
         if self.generator == "markov":
             return int(self.states**self.gram_length)
         return int(self.K)
-
-
-def _markov_specs(config, seed_pair):
-    spec_q = synth.build_markov_spec(
-        config.states, config.gram_length, np.random.default_rng(seed_pair[0])
-    )
-    spec_t = synth.build_markov_spec(
-        config.states, config.gram_length, np.random.default_rng(seed_pair[1])
-    )
-    return spec_q, spec_t
 
 
 def _markov_truth(config, spec_q, spec_t):
@@ -239,7 +230,11 @@ def run_convergence(config):
     rep_seeds = root.spawn(config.repetitions)
     spec_q = spec_t = None
     if config.generator == "markov":
-        spec_q, spec_t = _markov_specs(config, chain_seeds)
+        spec_q, spec_t = (
+            synth.build_markov_spec(config.states, config.gram_length,
+                                    np.random.default_rng(seed))
+            for seed in chain_seeds
+        )
     tasks = [
         (config, spec_q, spec_t, rep, seed) for rep, seed in enumerate(rep_seeds)
     ]
@@ -253,27 +248,25 @@ def run_convergence(config):
     return rows
 
 
-def write_rows_csv(rows, path):
-    """Write `estimator,N,rep,estimate,true_value,posterior_std` rows.
+def _write_csv(path, header, rows):
+    """Write one header line and the rows as CSV.
 
     Floats are repr-formatted (shortest round trip) so identical runs
-    produce byte-identical files; a missing posterior_std is an empty
-    field.
+    produce byte-identical files; None is an empty field.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["estimator", "N", "rep", "estimate", "true_value", "posterior_std"])
+        writer.writerow(header)
         for row in rows:
             writer.writerow(
-                [
-                    row.estimator,
-                    row.N,
-                    row.rep,
-                    repr(float(row.estimate)),
-                    repr(float(row.true_value)),
-                    "" if row.posterior_std is None else repr(float(row.posterior_std)),
-                ]
+                [repr(float(v)) if isinstance(v, float) else "" if v is None else v
+                 for v in row]
             )
+
+
+def write_rows_csv(rows, path):
+    """Write `estimator,N,rep,estimate,true_value,posterior_std` rows."""
+    _write_csv(path, Row._fields, rows)
 
 
 def compute_nstar(rows):
@@ -328,10 +321,5 @@ def run_nstar(config, alpha_values, beta_values):
 
 
 def write_nstar_csv(entries, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha_true", "beta_true", "estimator", "nstar_over_k"])
-        for a, b, name, score in entries:
-            writer.writerow(
-                [repr(float(a)), repr(float(b)), name, "" if score is None else repr(float(score))]
-            )
+    """Write `alpha_true,beta_true,estimator,nstar_over_k` entries."""
+    _write_csv(path, ("alpha_true", "beta_true", "estimator", "nstar_over_k"), entries)

@@ -6,8 +6,8 @@ Three subcommands:
 * ``convergence``: repetition ladders of synthetic data, tidy CSV.
 * ``nstar``: N*/K convergence scores over a grid of Dirichlet truths.
 
-Exit codes: 0 on success, 2 for input or configuration problems, 3 when
-an estimator rejects its input (domain error).
+Exit codes: 0 on success, 2 for input, configuration or output-file
+problems, 3 when an estimator rejects its input (domain error).
 """
 
 import argparse
@@ -18,6 +18,7 @@ from dataclasses import fields
 from . import benchmark
 from . import estimators as est
 from .counts import load_count_files
+from .specfun import check_positive
 
 __all__ = ["main"]
 
@@ -75,18 +76,22 @@ def _single(values, flag):
     return values[0]
 
 
-def cmd_estimate(args):
+class _EstimatorError(Exception):
+    """An estimator rejected its input (domain error, exit code 3)."""
+
+
+def _run(fn, *args):
+    """``fn(*args)``, with its ValueError raised as an _EstimatorError."""
     try:
-        est.check_estimator(args.estimator, args.divergence)
-        table = load_count_files(args.file1, args.file2, k=args.k)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = est.estimate(table, args.estimator, args.divergence)
+        return fn(*args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise _EstimatorError(exc) from exc
+
+
+def cmd_estimate(args):
+    est.check_estimator(args.estimator, args.divergence)
+    table = load_count_files(args.file1, args.file2, k=args.k)
+    report = _run(est.estimate, table, args.estimator, args.divergence)
     payload = {
         "estimator": args.estimator,
         "divergence": args.divergence,
@@ -102,46 +107,28 @@ def cmd_estimate(args):
 
 
 def cmd_convergence(args):
-    try:
-        truth = {
-            f"{key}_true": _single(getattr(args, key), key)
-            for key in ("alpha", "beta") if getattr(args, key) is not None
-        }
-        config = benchmark.ExperimentConfig(**_set_fields(args), **truth)
-        if not args.out:
-            raise ValueError("--out is required for convergence runs")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rows = benchmark.run_convergence(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    benchmark.write_rows_csv(rows, args.out)
+    truth = {
+        f"{key}_true": _single(getattr(args, key), key)
+        for key in ("alpha", "beta") if getattr(args, key) is not None
+    }
+    config = benchmark.ExperimentConfig(**_set_fields(args), **truth)
+    if not args.out:
+        raise ValueError("--out is required for convergence runs")
+    benchmark.write_rows_csv(_run(benchmark.run_convergence, config), args.out)
     return 0
 
 
 def cmd_nstar(args):
     alphas = (benchmark.ExperimentConfig.alpha_true,) if args.alpha is None else args.alpha
     betas = (benchmark.ExperimentConfig.beta_true,) if args.beta is None else args.beta
-    try:
-        if not alphas or not betas:
-            raise ValueError("--alpha and --beta must list at least one value")
-        config = benchmark.ExperimentConfig(
-            **_set_fields(args), alpha_true=alphas[0], beta_true=betas[0]
-        )
-        if not args.out:
-            raise ValueError("--out is required for nstar runs")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        entries = benchmark.run_nstar(config, alphas, betas)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    benchmark.write_nstar_csv(entries, args.out)
+    check_positive(alphas, "--alpha")
+    check_positive(betas, "--beta")
+    config = benchmark.ExperimentConfig(
+        **_set_fields(args), alpha_true=alphas[0], beta_true=betas[0]
+    )
+    if not args.out:
+        raise ValueError("--out is required for nstar runs")
+    benchmark.write_nstar_csv(_run(benchmark.run_nstar, config, alphas, betas), args.out)
     return 0
 
 
@@ -198,12 +185,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = parser.parse_args([argv[0], *_config_tokens(args.config), *argv[1:]])
+        return args.func(args)
     except SystemExit as exc:
         return exc.code
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, _EstimatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return args.func(args)
+        return 3 if isinstance(exc, _EstimatorError) else 2
 
 
 if __name__ == "__main__":

@@ -78,22 +78,14 @@ def build_table(counts1, counts2, K):
     K = int(K)
     if len(c1) > K:
         raise ValueError(f"{len(c1)} categories listed but K={K}")
-    if len(c1):
-        pairs, mult = np.unique(np.stack([c1, c2], axis=1), axis=0,
-                                return_counts=True)
-        n, m, nu = pairs[:, 0], pairs[:, 1], mult.astype(np.int64)
-    else:
-        n = m = np.zeros(0, dtype=np.int64)
-        nu = np.zeros(0, dtype=np.int64)
-    pad = K - len(c1)
-    if pad:
-        if len(n) and n[0] == 0 and m[0] == 0:
-            nu = nu.copy()
-            nu[0] += pad
-        else:
-            n = np.concatenate([[0], n])
-            m = np.concatenate([[0], m])
-            nu = np.concatenate([[pad], nu])
+    # one (0, 0) entry stands for the K - len unlisted categories; counts
+    # are non-negative, so its row sorts first
+    pairs, mult = np.unique(np.stack([np.append(c1, 0), np.append(c2, 0)], axis=1),
+                            axis=0, return_counts=True)
+    n, m, nu = pairs[:, 0], pairs[:, 1], mult.astype(np.int64)
+    nu[0] += K - len(c1) - 1
+    if nu[0] == 0:
+        n, m, nu = n[1:], m[1:], nu[1:]
     for arr in (n, m, nu):
         arr.setflags(write=False)
     return MultiplicityTable(n=n, m=m, nu=nu, K=K, N=_total(c1, "counts1"),

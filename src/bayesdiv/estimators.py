@@ -313,11 +313,12 @@ def maximize_log_posterior(table):
 def _canonical_orientation(table):
     """Deterministic sample order for exactly swap-symmetric estimators.
 
-    The squared-Hellinger construction is symmetric in the two samples,
-    but the quadrature sums its (alpha, beta) grid in a fixed order, so
-    swapping the samples changes the rounding of the result.  Computing
-    on a canonical orientation restores exact symmetry.  Returns that
-    table and the caller's names of its two concentrations.
+    The squared-Hellinger estimators are symmetric in the two samples,
+    but their sums run in a fixed order (the table's rows, the
+    quadrature's (alpha, beta) grid), so swapping the samples changes
+    the rounding of the result.  Computing on a canonical orientation
+    restores exact symmetry.  Returns that table and the caller's names
+    of its two concentrations.
     """
     order = np.lexsort((table.n, table.m))
     swapped = MultiplicityTable(n=table.m[order], m=table.n[order],
@@ -352,9 +353,12 @@ def estimate_hellinger_dpm(table):
     return _dpm_report(table, log_weight_hellinger, (hellinger_sq_grid,), names)
 
 
-def _dp_report(table, mean_grid):
+def _dp_report(table, mean_grid, names=("alpha", "beta")):
     mx = maximize_log_posterior(table)
     value = mean_grid(table, [mx.alpha_star], [mx.beta_star])[0, 0]
+    if names[0] == "beta":   # the table was swapped: name the caller's samples
+        mx = PosteriorMax(mx.beta_star, mx.alpha_star, mx.log_evidence_at_max,
+                          mx.boundary_beta, mx.boundary_alpha)
     return EstimateReport(float(value), None, asdict(mx))
 
 
@@ -365,7 +369,8 @@ def estimate_dkl_dp(table):
 
 def estimate_hellinger_dp(table):
     """Posterior mean DH^2 at the per-sample evidence maximizers."""
-    return _dp_report(table, hellinger_sq_grid)
+    table, names = _canonical_orientation(check_table(table))
+    return _dp_report(table, hellinger_sq_grid, names)
 
 
 # --- plugins and Z --------------------------------------------------------
@@ -414,7 +419,7 @@ def estimate_dkl_plugin(table, scheme):
 
 def estimate_hellinger_plugin(table, scheme):
     """Plugin DH^2 = 1 - sum_i sqrt(q_i t_i) from pseudo-count frequencies."""
-    check_table(table)
+    table, _ = _canonical_orientation(check_table(table))
     q, t = _plugin_frequencies(table, scheme)
     return float(1.0 - np.dot(table.nu.astype(float), np.sqrt(q * t)))
 

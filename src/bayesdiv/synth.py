@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posterior import check_K
+from .specfun import check_positive
 
 __all__ = [
     "sample_dirichlet",
@@ -44,8 +45,7 @@ def sample_dirichlet(K, alpha, seed=None):
     are rejected and redrawn.
     """
     check_K(K)
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be finite and positive")
+    check_positive(alpha, "alpha")
     rng = _rng_of(seed)
     for _ in range(1000):
         draws = rng.standard_gamma(float(alpha), size=int(K))

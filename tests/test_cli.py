@@ -184,6 +184,21 @@ def test_convergence_rejects_alpha_list(tmp_path, capsys):
     assert code == 2
 
 
+def test_convergence_rejects_infinite_alpha(tmp_path, capsys):
+    code = main(["convergence", *CONV_FLAGS, "--alpha", "inf",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "alpha_true" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["convergence", "nstar"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    code = main([command, "--k", "6", "--ladder", "10,20", "--reps", "1",
+                 "--estimator", "naive", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_convergence_markov_generator(tmp_path, capsys):
     out = tmp_path / "m.csv"
     code = main([
@@ -308,5 +323,13 @@ def test_nstar_markov_exits_3(tmp_path, capsys):
 
 def test_nstar_empty_alpha_list_exits_2(tmp_path, capsys):
     code = main(["nstar", "--alpha", ",", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+def test_nstar_rejects_a_non_positive_alpha_in_the_list(tmp_path, capsys):
+    code = main(["nstar", "--k", "6", "--ladder", "20", "--reps", "1",
+                 "--estimator", "naive", "--alpha", "1,-1",
+                 "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "--alpha" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 """Multiplicity tables: compression, weighted sums, file ingestion."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayesdiv.counts import build_table, load_count_files
 
@@ -38,6 +40,34 @@ def test_build_table_empty_samples():
     table = build_table([], [], 7)
     assert table.N == 0 and table.M == 0
     assert _rows(table) == {(0, 0): 7}
+
+
+@st.composite
+def _listed_counts(draw):
+    """K from 1 to 30 and two aligned count vectors of length 0..K.  Counts
+    are small, so that pairs (explicit (0, 0) ones among them) repeat, or
+    reach 1e12; either vector may be all zero."""
+    K = draw(st.integers(1, 30))
+    listed = draw(st.integers(0, K))
+    count = st.integers(0, 3) | st.integers(0, 10**12)
+    sample = st.lists(count, min_size=listed, max_size=listed) | st.just([0] * listed)
+    return draw(sample), draw(sample), K
+
+
+@settings(max_examples=100, deadline=None)
+@given(_listed_counts())
+def test_build_table_matches_a_counter_of_pairs(case):
+    n, m, K = case
+    pairs = Counter(zip(n, m))
+    pairs[(0, 0)] += K - len(n)
+    expected = {pair: nu for pair, nu in pairs.items() if nu}
+    table = build_table(n, m, K)
+    assert _rows(table) == expected
+    assert len(table.nu) == len(expected)
+    assert (table.K, table.N, table.M) == (K, sum(n), sum(m))
+    for arr in (table.n, table.m, table.nu):
+        assert arr.dtype == np.int64
+        assert not arr.flags.writeable
 
 
 def test_build_table_accepts_integer_valued_floats():

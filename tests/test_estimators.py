@@ -390,14 +390,27 @@ def _count_pairs(draw):
     return draw(sample), draw(sample), K
 
 
+def _hellinger_outcome(table, name):
+    """(value, diagnostics) of one H^2 estimate, or its ValueError's message."""
+    try:
+        report = estimate(table, name, "hellinger2")
+    except ValueError as exc:
+        return str(exc)
+    return report.value, report.diagnostics
+
+
 @settings(max_examples=50, deadline=None)
 @given(_count_pairs())
 def test_hellinger_dpm_symmetric_under_sample_swap(pair):
+    # dpm, dp and every plugin scheme: the same value, or the same error
+    # (a plugin may reject an empty sample), in either sample order
     n, m, K = pair
-    forward = estimate_hellinger_dpm(build_table(n, m, K))
-    backward = estimate_hellinger_dpm(build_table(m, n, K))
-    assert forward.value == backward.value
-    assert forward.diagnostics == _exchange_alpha_beta(backward.diagnostics)
+    for name in ("dpm", "dp", *PLUGIN_SCHEMES):
+        forward = _hellinger_outcome(build_table(n, m, K), name)
+        backward = _hellinger_outcome(build_table(m, n, K), name)
+        if isinstance(backward, tuple):
+            backward = (backward[0], _exchange_alpha_beta(backward[1]))
+        assert forward == backward, name
 
 
 def test_hellinger_dpm_diagnostics_name_the_callers_samples():
