@@ -43,6 +43,6 @@ for size in (400, 2000, 10000):
     plug = estimate_dkl_plugin(table, "jeffreys")
     print(f"{size:>7} {report.value:8.4f} {report.posterior_std:7.4f} {plug:9.4f}")
 
-print("\nEach mixture estimate sits within about one reported error bar of")
-print("the truth, and the bar shrinks with N; the smoothed plugin carries")
-print("a bias of its own with no uncertainty attached.")
+print("\nThe mixture's error bar shrinks with N, and each estimate lies")
+print("within a few bars of the truth; the smoothed plugin carries a bias")
+print("of its own with no uncertainty attached.")

@@ -112,39 +112,24 @@ class ExperimentConfig:
         return int(self.K)
 
 
-def _markov_truth(config, spec_q, spec_t):
-    if config.divergence == "kl":
-        return synth.markov_crossentropy(spec_q, spec_t) - synth.markov_entropy(spec_q)
-    return synth.exact_hellinger_sq(
-        synth.lgram_distribution(spec_q), synth.lgram_distribution(spec_t)
-    )
+def _rep_rows(config, chain_laws, rep, rep_seed):
+    """All rows of one repetition: one sample pair per ladder size.
 
-
-def _rep_rows(config, spec_q, spec_t, rep, rep_seed):
-    """All rows of one repetition: one sample pair per ladder size."""
+    The truth (q, t) is the chains' L-gram laws or a fresh Dirichlet pair.
+    """
     K = config.category_count
     part = rep_seed.spawn(3)
-    if config.generator == "dirichlet":
+    if chain_laws is None:
         q = synth.sample_dirichlet(K, config.alpha_true, np.random.default_rng(part[0]))
         t = synth.sample_dirichlet(K, config.beta_true, np.random.default_rng(part[1]))
-        if config.divergence == "kl":
-            truth = synth.exact_dkl(q, t)
-        else:
-            truth = synth.exact_hellinger_sq(q, t)
     else:
-        truth = _markov_truth(config, spec_q, spec_t)
+        q, t = chain_laws
+    exact = synth.exact_dkl if config.divergence == "kl" else synth.exact_hellinger_sq
+    truth = exact(q, t)
     draw = np.random.default_rng(part[2])
 
     def fresh_pair(size):
-        if config.generator == "dirichlet":
-            return (
-                synth.sample_multinomial(q, size, draw),
-                synth.sample_multinomial(t, size, draw),
-            )
-        return (
-            synth.sample_lgrams(spec_q, size, draw),
-            synth.sample_lgrams(spec_t, size, draw),
-        )
+        return synth.sample_multinomial(q, size, draw), synth.sample_multinomial(t, size, draw)
 
     if config.nested_subsample:
         parent_size = config.parent_size or max(config.size_ladder)
@@ -228,16 +213,14 @@ def run_convergence(config):
     root = np.random.SeedSequence(config.master_seed)
     chain_seeds = root.spawn(2)
     rep_seeds = root.spawn(config.repetitions)
-    spec_q = spec_t = None
+    chain_laws = None
     if config.generator == "markov":
-        spec_q, spec_t = (
-            synth.build_markov_spec(config.states, config.gram_length,
-                                    np.random.default_rng(seed))
+        chain_laws = [
+            synth.lgram_distribution(synth.build_markov_spec(
+                config.states, config.gram_length, np.random.default_rng(seed)))
             for seed in chain_seeds
-        )
-    tasks = [
-        (config, spec_q, spec_t, rep, seed) for rep, seed in enumerate(rep_seeds)
-    ]
+        ]
+    tasks = [(config, chain_laws, rep, seed) for rep, seed in enumerate(rep_seeds)]
     if config.workers > 1:
         with _pool(config.workers) as pool:
             chunks = list(pool.map(_rep_rows, *zip(*tasks)))

@@ -114,6 +114,7 @@ def cmd_convergence(args):
     config = benchmark.ExperimentConfig(**_set_fields(args), **truth)
     if not args.out:
         raise ValueError("--out is required for convergence runs")
+    open(args.out, "a").close()   # fail before the run; append truncates nothing
     benchmark.write_rows_csv(_run(benchmark.run_convergence, config), args.out)
     return 0
 
@@ -128,6 +129,7 @@ def cmd_nstar(args):
     )
     if not args.out:
         raise ValueError("--out is required for nstar runs")
+    open(args.out, "a").close()   # fail before the run; append truncates nothing
     benchmark.write_nstar_csv(_run(benchmark.run_nstar, config, alphas, betas), args.out)
     return 0
 

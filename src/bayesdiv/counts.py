@@ -186,8 +186,6 @@ def load_count_files(path1, path2=None, k=None):
     else:
         raise ValueError("K not given: pass --k or add a #K= header line")
     cats = first.keys() | second.keys()   # in any order: build_table sorts rows
-    if len(cats) > K:
-        raise ValueError(f"{len(cats)} categories seen but K={K}")
     n = np.array([first.get(c, 0) for c in cats], dtype=np.int64)
     m = np.array([second.get(c, 0) for c in cats], dtype=np.int64)
     return build_table(n, m, K)

@@ -27,8 +27,6 @@ __all__ = [
     "sample_lgrams",
 ]
 
-_CHUNK = 1 << 18
-
 
 def _rng_of(seed):
     if isinstance(seed, np.random.Generator):
@@ -54,31 +52,33 @@ def sample_dirichlet(K, alpha, seed=None):
     raise ValueError(f"Gamma({alpha}) draws keep underflowing to zero")
 
 
-def sample_multinomial(probs, size, seed=None):
-    """Multinomial counts over the categories of ``probs``; total = size."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0 or np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("probs must be a non-negative probability vector")
-    s = p.sum()
-    if not np.isclose(s, 1.0, rtol=0, atol=1e-9):
-        raise ValueError("probs must sum to one")
-    if not (isinstance(size, (int, np.integer)) and size >= 0):
-        raise ValueError("size must be a non-negative integer")
-    rng = _rng_of(seed)
-    return rng.multinomial(int(size), p / s)
-
-
-# --- exact functionals ----------------------------------------------------
-
-def _check_prob_vector(p, name):
+def _check_prob_vector(p, name, atol=1e-8):
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a 1-d probability vector")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be non-negative and finite")
-    if not np.isclose(arr.sum(), 1.0, rtol=0, atol=1e-8):
+    if not np.isclose(arr.sum(), 1.0, rtol=0, atol=atol):
         raise ValueError(f"{name} must sum to one")
     return arr
+
+
+def sample_multinomial(probs, size, seed=None):
+    """Multinomial counts over the categories of ``probs``; total = size."""
+    p = _check_prob_vector(probs, "probs", atol=1e-9)
+    if not (isinstance(size, (int, np.integer)) and size >= 0):
+        raise ValueError("size must be a non-negative integer")
+    rng = _rng_of(seed)
+    return rng.multinomial(int(size), p / p.sum())
+
+
+# --- exact functionals ----------------------------------------------------
+
+def _check_pair(q, t):
+    qv, tv = _check_prob_vector(q, "q"), _check_prob_vector(t, "t")
+    if qv.shape != tv.shape:
+        raise ValueError("q and t must have equal length")
+    return qv, tv
 
 
 def exact_entropy(q):
@@ -90,10 +90,7 @@ def exact_entropy(q):
 
 def exact_crossentropy(q, t):
     """H(q||t) = -sum q ln t; requires t > 0 wherever q > 0."""
-    qv = _check_prob_vector(q, "q")
-    tv = _check_prob_vector(t, "t")
-    if qv.shape != tv.shape:
-        raise ValueError("q and t must have equal length")
+    qv, tv = _check_pair(q, t)
     nz = qv > 0
     if np.any(tv[nz] <= 0):
         raise ValueError("t must be positive wherever q is positive")
@@ -107,10 +104,7 @@ def exact_dkl(q, t):
 
 def exact_hellinger_sq(q, t):
     """DH^2(q,t) = 1 - sum sqrt(q t), in [0, 1]."""
-    qv = _check_prob_vector(q, "q")
-    tv = _check_prob_vector(t, "t")
-    if qv.shape != tv.shape:
-        raise ValueError("q and t must have equal length")
+    qv, tv = _check_pair(q, t)
     return float(1.0 - np.sqrt(qv * tv).sum())
 
 
@@ -132,16 +126,13 @@ class MarkovChainSpec:
     def S(self):
         return len(self.pi)
 
-    @property
-    def K(self):
-        return int(self.S ** self.L)
-
 
 def build_markov_spec(S, L, seed=None):
     """Random column-stochastic chain.
 
-    Transition columns are drawn i.i.d. uniform and normalized; the
-    stationary distribution comes from power iteration to 1e-12.
+    Transition columns are drawn i.i.d. uniform and normalized.  The
+    stationary distribution solves (W - I) pi = 0 with sum(pi) = 1: the
+    rows of W - I sum to zero, so one of them is replaced by ones.
     """
     if not (isinstance(S, (int, np.integer)) and S >= 2):
         raise ValueError("S must be an integer >= 2")
@@ -150,16 +141,9 @@ def build_markov_spec(S, L, seed=None):
     rng = _rng_of(seed)
     W = rng.uniform(size=(int(S), int(S)))
     W /= W.sum(axis=0, keepdims=True)
-    pi = np.full(S, 1.0 / S)
-    for _ in range(100_000):
-        nxt = W @ pi
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < 1e-12:
-            pi = nxt
-            break
-        pi = nxt
-    else:
-        raise ValueError("power iteration did not converge")
+    system = W - np.eye(int(S))
+    system[0] = 1.0
+    pi = np.linalg.solve(system, np.eye(int(S))[0])
     W.setflags(write=False)
     pi.setflags(write=False)
     return MarkovChainSpec(W=W, pi=pi, L=int(L))
@@ -205,26 +189,7 @@ def lgram_distribution(spec):
 def sample_lgrams(spec, size, seed=None):
     """Histogram of ``size`` independent L-grams walked from the chain.
 
-    Each gram starts at x_1 ~ pi and steps through W; returned as counts
-    over all S^L categories in lgram_distribution order.
+    Each gram starts at x_1 ~ pi and steps through W, so the histogram is
+    multinomial over lgram_distribution(spec), and is drawn as such.
     """
-    if not (isinstance(size, (int, np.integer)) and size >= 0):
-        raise ValueError("size must be a non-negative integer")
-    rng = _rng_of(seed)
-    W, pi, L, S = spec.W, spec.pi, spec.L, spec.S
-    cum = np.cumsum(W, axis=0)
-    counts = np.zeros(spec.K, dtype=np.int64)
-    done = 0
-    while done < size:
-        block = min(_CHUNK, int(size) - done)
-        x = rng.choice(S, size=block, p=pi)
-        idx = x.astype(np.int64)
-        mult = S
-        for _ in range(L - 1):
-            u = rng.random(block)
-            x = (u[None, :] < cum[:, x]).argmax(axis=0)
-            idx += mult * x
-            mult *= S
-        counts += np.bincount(idx, minlength=spec.K)
-        done += block
-    return counts
+    return sample_multinomial(lgram_distribution(spec), size, seed)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayesdiv import benchmark
+from bayesdiv import benchmark, synth
 from bayesdiv.benchmark import (
     DEFAULT_LADDER,
     ESTIMATOR_NAMES,
@@ -129,6 +129,34 @@ def test_markov_truth_shared_across_reps():
     truths = {row.true_value for row in rows}
     assert len(truths) == 1
     assert truths.pop() > 0.0
+
+
+@pytest.mark.parametrize("divergence", ["kl", "hellinger2"])
+def test_markov_truth_matches_the_chain_formulas(divergence):
+    config = ExperimentConfig(
+        generator="markov",
+        states=4,
+        gram_length=3,
+        size_ladder=(20,),
+        repetitions=2,
+        estimators=("naive",),
+        divergence=divergence,
+        master_seed=11,
+    )
+    # the two chains come from the master seed's first two children
+    spec_q, spec_t = (
+        synth.build_markov_spec(4, 3, np.random.default_rng(seed))
+        for seed in np.random.SeedSequence(11).spawn(2)
+    )
+    if divergence == "kl":
+        closed_form = synth.markov_crossentropy(spec_q, spec_t) - synth.markov_entropy(spec_q)
+        want = pytest.approx(closed_form, rel=1e-12, abs=0)
+    else:
+        want = synth.exact_hellinger_sq(
+            synth.lgram_distribution(spec_q), synth.lgram_distribution(spec_t)
+        )
+    for row in run_convergence(config):
+        assert row.true_value == want
 
 
 def test_run_deterministic_across_calls_and_workers():

@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import pytest
 
+import bayesdiv.estimators
 from bayesdiv import benchmark
 from bayesdiv.cli import main
 
@@ -192,7 +193,12 @@ def test_convergence_rejects_infinite_alpha(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["convergence", "nstar"])
-def test_unwritable_out_exits_2(tmp_path, capsys, command):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    # the output path is checked before the run, so no estimate is made
+    def no_estimate(*args):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(bayesdiv.estimators, "estimate", no_estimate)
     code = main([command, "--k", "6", "--ladder", "10,20", "--reps", "1",
                  "--estimator", "naive", "--out", str(tmp_path / "missing" / "x.csv")])
     assert code == 2

@@ -79,14 +79,15 @@ def test_bhattacharyya_log_slope_matches_mpmath_at_large_x(K):
     import mpmath
 
     mpmath.mp.dps = 40
-    for x in (10.0, 1e3, 1e6):
+    for x in (1e-6, 1e-3, 10.0, 1e3, 1e6):
+        xm = mpmath.mpf(x)
         truth = float(
-            mpmath.digamma(x + 0.5)
-            - mpmath.digamma(x)
-            - K * (mpmath.digamma(K * x + 0.5) - mpmath.digamma(K * x))
+            mpmath.digamma(xm + 0.5)
+            - mpmath.digamma(xm)
+            - K * (mpmath.digamma(K * xm + 0.5) - mpmath.digamma(K * xm))
         )
         got = float(bhattacharyya_factor_log_slope(x, K))
-        assert got == pytest.approx(truth, rel=1e-10)
+        assert got == pytest.approx(truth, rel=1e-11, abs=0)
 
 
 @pytest.mark.parametrize("K", [2, 10**7])
