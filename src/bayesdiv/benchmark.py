@@ -84,8 +84,7 @@ class ExperimentConfig:
             check_positive(self.alpha_true, "alpha_true")
             check_positive(self.beta_true, "beta_true")
         else:
-            if self.states < 2 or self.gram_length < 1:
-                raise ValueError("markov generator needs states >= 2, gram_length >= 1")
+            synth.check_markov_shape(self.states, self.gram_length)
         if not self.size_ladder:
             raise ValueError("size_ladder is empty")
         if any(n < 1 for n in self.size_ladder):

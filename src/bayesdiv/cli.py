@@ -6,8 +6,9 @@ Three subcommands:
 * ``convergence``: repetition ladders of synthetic data, tidy CSV.
 * ``nstar``: N*/K convergence scores over a grid of Dirichlet truths.
 
-Exit codes: 0 on success, 2 for input, configuration or output-file
-problems, 3 when an estimator rejects its input (domain error).
+Exit codes: 0 on success; 3 only when an estimator rejects a table
+(``estimators.EstimatorError``); 2 for every other input, configuration
+or output-file problem, also one found during a run.
 """
 
 import argparse
@@ -76,22 +77,10 @@ def _single(values, flag):
     return values[0]
 
 
-class _EstimatorError(Exception):
-    """An estimator rejected its input (domain error, exit code 3)."""
-
-
-def _run(fn, *args):
-    """``fn(*args)``, with its ValueError raised as an _EstimatorError."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise _EstimatorError(exc) from exc
-
-
 def cmd_estimate(args):
     est.check_estimator(args.estimator, args.divergence)
     table = load_count_files(args.file1, args.file2, k=args.k)
-    report = _run(est.estimate, table, args.estimator, args.divergence)
+    report = est.estimate(table, args.estimator, args.divergence)
     payload = {
         "estimator": args.estimator,
         "divergence": args.divergence,
@@ -115,7 +104,7 @@ def cmd_convergence(args):
     if not args.out:
         raise ValueError("--out is required for convergence runs")
     open(args.out, "a").close()   # fail before the run; append truncates nothing
-    benchmark.write_rows_csv(_run(benchmark.run_convergence, config), args.out)
+    benchmark.write_rows_csv(benchmark.run_convergence(config), args.out)
     return 0
 
 
@@ -130,7 +119,7 @@ def cmd_nstar(args):
     if not args.out:
         raise ValueError("--out is required for nstar runs")
     open(args.out, "a").close()   # fail before the run; append truncates nothing
-    benchmark.write_nstar_csv(_run(benchmark.run_nstar, config, alphas, betas), args.out)
+    benchmark.write_nstar_csv(benchmark.run_nstar(config, alphas, betas), args.out)
     return 0
 
 
@@ -190,9 +179,9 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return exc.code
-    except (OSError, ValueError, _EstimatorError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, _EstimatorError) else 2
+        return 3 if isinstance(exc, est.EstimatorError) else 2
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from .posterior import (
 
 __all__ = [
     "EstimateReport",
+    "EstimatorError",
     "PosteriorMax",
     "estimate",
     "check_estimator",
@@ -456,23 +457,32 @@ def check_estimator(name, divergence):
         raise ValueError("the zhang estimator is defined for KL only")
 
 
+class EstimatorError(ValueError):
+    """An estimator rejected its table (a domain error, not a bad name)."""
+
+
 def estimate(table, name, divergence="kl"):
     """Run the estimator ``name`` for ``divergence`` ("kl" or "hellinger2").
 
     Names are "dpm", "dp", "zhang" and the plugin schemes.  Every result
     is an EstimateReport; plugins and zhang leave its diagnostics empty.
+    An unknown name raises ValueError; a table the estimator rejects
+    raises EstimatorError with the estimator's message.
     """
     check_estimator(name, divergence)
     kl = divergence == "kl"
-    if name == "dpm":
-        return estimate_dkl_dpm(table) if kl else estimate_hellinger_dpm(table)
-    if name == "dp":
-        return estimate_dkl_dp(table) if kl else estimate_hellinger_dp(table)
-    if name == "zhang":
-        return EstimateReport(estimate_dkl_zhang(table))
-    if kl:
-        return EstimateReport(estimate_dkl_plugin(table, name))
-    return EstimateReport(estimate_hellinger_plugin(table, name))
+    try:
+        if name == "dpm":
+            return estimate_dkl_dpm(table) if kl else estimate_hellinger_dpm(table)
+        if name == "dp":
+            return estimate_dkl_dp(table) if kl else estimate_hellinger_dp(table)
+        if name == "zhang":
+            return EstimateReport(estimate_dkl_zhang(table))
+        if kl:
+            return EstimateReport(estimate_dkl_plugin(table, name))
+        return EstimateReport(estimate_hellinger_plugin(table, name))
+    except ValueError as exc:
+        raise EstimatorError(str(exc)) from exc
 
 
 # --- entropy mixture (single sample) ---------------------------------------

@@ -109,8 +109,7 @@ def log_weight_hellinger(alpha, beta, K):
     b = check_positive(beta, "beta")
     K = check_K(K)
     lg_a, lg_b = _log_g(a, K), _log_g(b, K)
-    log_one_minus_z = lg_a + lg_b                    # ln(g g) <= 0
-    z = -np.expm1(log_one_minus_z)                   # 1 - g g, in (0, 1)
+    z = -np.expm1(lg_a + lg_b)                       # 1 - g g, in (0, 1)
     # rounded addition and expm1 are monotone, so the axis extremes bound z
     if not (-np.expm1(np.max(lg_a) + np.max(lg_b)) > 0
             and -np.expm1(np.min(lg_a) + np.min(lg_b)) < 1):
@@ -120,9 +119,8 @@ def log_weight_hellinger(alpha, beta, K):
     if not (np.all(slope_a > 0) and np.all(slope_b > 0)):
         raise ValueError("g must increase in alpha and in beta")
     # |dg/dx| = g * dlng/dx; target density rho(z)(1-z)^2/(z(2-z)) with
-    # rho(z) ~ 1/z
-    out = (
-        lg_a + np.log(slope_a) + lg_b + np.log(slope_b)
-        + 2.0 * log_one_minus_z - 2.0 * np.log(z) - np.log(2.0 - z)
-    )
+    # rho(z) ~ 1/z; as (1-z)^2 = g(alpha)^2 g(beta)^2, the axis terms add
+    # before the broadcast and one grid term remains
+    out = (3.0 * lg_a + np.log(slope_a)) + (3.0 * lg_b + np.log(slope_b))
+    out -= np.log(z * z * (2.0 - z))
     return float_if_scalar(out, alpha, beta)

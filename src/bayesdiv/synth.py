@@ -20,18 +20,13 @@ __all__ = [
     "exact_dkl",
     "exact_hellinger_sq",
     "MarkovChainSpec",
+    "check_markov_shape",
     "build_markov_spec",
     "markov_entropy",
     "markov_crossentropy",
     "lgram_distribution",
     "sample_lgrams",
 ]
-
-
-def _rng_of(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def sample_dirichlet(K, alpha, seed=None):
@@ -44,7 +39,7 @@ def sample_dirichlet(K, alpha, seed=None):
     """
     check_K(K)
     check_positive(alpha, "alpha")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(1000):
         draws = rng.standard_gamma(float(alpha), size=int(K))
         if np.all(draws > 0.0):
@@ -68,7 +63,7 @@ def sample_multinomial(probs, size, seed=None):
     p = _check_prob_vector(probs, "probs", atol=1e-9)
     if not (isinstance(size, (int, np.integer)) and size >= 0):
         raise ValueError("size must be a non-negative integer")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     return rng.multinomial(int(size), p / p.sum())
 
 
@@ -127,6 +122,14 @@ class MarkovChainSpec:
         return len(self.pi)
 
 
+def check_markov_shape(S, L):
+    """Raise ValueError unless S is an integer >= 2 and L an integer >= 1."""
+    if not (isinstance(S, (int, np.integer)) and S >= 2):
+        raise ValueError("states S must be an integer >= 2")
+    if not (isinstance(L, (int, np.integer)) and L >= 1):
+        raise ValueError("gram_length L must be an integer >= 1")
+
+
 def build_markov_spec(S, L, seed=None):
     """Random column-stochastic chain.
 
@@ -134,11 +137,8 @@ def build_markov_spec(S, L, seed=None):
     stationary distribution solves (W - I) pi = 0 with sum(pi) = 1: the
     rows of W - I sum to zero, so one of them is replaced by ones.
     """
-    if not (isinstance(S, (int, np.integer)) and S >= 2):
-        raise ValueError("S must be an integer >= 2")
-    if not (isinstance(L, (int, np.integer)) and L >= 1):
-        raise ValueError("L must be a positive integer")
-    rng = _rng_of(seed)
+    check_markov_shape(S, L)
+    rng = np.random.default_rng(seed)
     W = rng.uniform(size=(int(S), int(S)))
     W /= W.sum(axis=0, keepdims=True)
     system = W - np.eye(int(S))

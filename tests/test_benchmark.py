@@ -51,6 +51,7 @@ def test_config_category_count_markov():
         {"beta_true": -1.0},
         {"generator": "markov", "states": 1},
         {"generator": "markov", "gram_length": 0},
+        {"generator": "markov", "states": 2.5},
         {"size_ladder": ()},
         {"size_ladder": (0, 10)},
         {"size_ladder": (10, 10)},

@@ -192,6 +192,26 @@ def test_convergence_rejects_infinite_alpha(tmp_path, capsys):
     assert "alpha_true" in capsys.readouterr().err
 
 
+def test_convergence_underflowing_truth_exits_2(tmp_path, capsys):
+    # a configuration error found during the run, not an estimator's rejection
+    code = main(["convergence", *CONV_FLAGS, "--alpha", "1e-300",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "underflowing" in capsys.readouterr().err
+
+
+def test_rejection_inside_a_worker_exits_3(tmp_path, capsys, monkeypatch):
+    # forked pool workers inherit the patched front-end
+    def reject(*args):
+        raise ValueError("rejected in a worker")
+
+    monkeypatch.setattr(bayesdiv.estimators, "estimate_dkl_plugin", reject)
+    code = main(["convergence", *CONV_FLAGS, "--workers", "2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "rejected in a worker" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["convergence", "nstar"])
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
     # the output path is checked before the run, so no estimate is made
@@ -317,13 +337,13 @@ def test_nstar_requires_out(capsys):
                  "--estimator", "naive"]) == 2
 
 
-def test_nstar_markov_exits_3(tmp_path, capsys):
+def test_nstar_markov_exits_2(tmp_path, capsys):
     code = main([
         "nstar", "--generator", "markov", "--states", "3", "--gram-length", "1",
         "--ladder", "10,20", "--reps", "1", "--estimator", "naive",
         "--out", str(tmp_path / "x.csv"),
     ])
-    assert code == 3
+    assert code == 2
     assert "Dirichlet" in capsys.readouterr().err
 
 

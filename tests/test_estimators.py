@@ -10,6 +10,7 @@ from bayesdiv import estimators
 from bayesdiv.counts import build_table
 from bayesdiv.estimators import (
     PLUGIN_SCHEMES,
+    EstimatorError,
     _dpm_log_weight,
     _edge_mass,
     _gregory_weights,
@@ -472,6 +473,19 @@ def test_estimate_dispatches_on_name_and_divergence():
     for name, divergence in (("zhang", "hellinger2"), ("mle", "kl"), ("dpm", "tv")):
         with pytest.raises(ValueError):
             estimate(table, name, divergence)
+
+
+def test_estimate_marks_a_rejected_table_but_not_a_bad_name():
+    empty_first = build_table([0, 0], [1, 2], 2)
+    with pytest.raises(ValueError) as direct:
+        estimate_dkl_zhang(empty_first)
+    with pytest.raises(EstimatorError) as marked:
+        estimate(empty_first, "zhang")
+    assert str(marked.value) == str(direct.value)
+    assert isinstance(marked.value, ValueError)
+    with pytest.raises(ValueError) as bad_name:
+        estimate(empty_first, "mle")
+    assert type(bad_name.value) is ValueError
 
 
 # --- NSB entropy -----------------------------------------------------------------------
