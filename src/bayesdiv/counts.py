@@ -1,16 +1,19 @@
 """Count-pair multiplicity tables and count-file ingestion.
 
 Two samples over the same K categories are stored compressed: one row per
-distinct (n, m) count pair with its multiplicity nu.  Unobserved categories
-are carried explicitly through the (0, 0) row, so sums over rows weighted
-by nu are sums over all K categories.
+distinct (n, m) count pair with its multiplicity nu, rows sorted by (n, m).
+Unobserved categories are carried explicitly through the (0, 0) row, so
+sums over rows weighted by nu are sums over all K categories.  Each
+sample's distinct counts (its levels) are kept too: a term that depends on
+one sample only needs computing once per level, not once per row.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "Levels",
     "MultiplicityTable",
     "build_table",
     "load_count_files",
@@ -20,15 +23,46 @@ _MAX_COUNT = int(np.iinfo(np.int64).max)   # of one count and of a sample's tota
 
 
 @dataclass(frozen=True)
-class MultiplicityTable:
-    """Compressed two-sample count table over K categories."""
+class Levels:
+    """One sample's distinct counts over the rows of a MultiplicityTable."""
 
-    n: np.ndarray   # distinct first-sample counts, shape (U,)
+    values: np.ndarray  # the distinct counts, ascending, shape (L,)
+    nu: np.ndarray      # nu summed over the rows with each count, shape (L,)
+    index: np.ndarray   # each row's position in values, shape (U,)
+
+
+def _levels(counts, nu):
+    values, index = np.unique(counts, return_inverse=True)
+    level_nu = np.zeros(len(values), dtype=np.int64)
+    np.add.at(level_nu, index, nu)
+    for arr in (values, level_nu, index):
+        arr.setflags(write=False)
+    return Levels(values, level_nu, index)
+
+
+@dataclass(frozen=True)
+class MultiplicityTable:
+    """Compressed two-sample count table over K categories.
+
+    Rows are distinct (n, m) pairs sorted by n, then m, as build_table
+    makes them, so the table depends only on the multiset of pairs.
+    ``n_levels`` and ``m_levels`` hold each sample's distinct counts,
+    computed once when the table is made; row u has
+    n[u] = n_levels.values[n_levels.index[u]], and likewise for m.
+    """
+
+    n: np.ndarray   # first-sample counts, shape (U,)
     m: np.ndarray   # matching second-sample counts, shape (U,)
     nu: np.ndarray  # multiplicity of each pair, shape (U,)
     K: int
     N: int
     M: int
+    n_levels: Levels = field(init=False, repr=False, compare=False)
+    m_levels: Levels = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_levels", _levels(self.n, self.nu))
+        object.__setattr__(self, "m_levels", _levels(self.m, self.nu))
 
     def observed_categories(self, which_sample):
         """Number of categories with a positive count in one sample."""
@@ -80,9 +114,16 @@ def build_table(counts1, counts2, K):
         raise ValueError(f"{len(c1)} categories listed but K={K}")
     # one (0, 0) entry stands for the K - len unlisted categories; counts
     # are non-negative, so its row sorts first
-    pairs, mult = np.unique(np.stack([np.append(c1, 0), np.append(c2, 0)], axis=1),
-                            axis=0, return_counts=True)
-    n, m, nu = pairs[:, 0], pairs[:, 1], mult.astype(np.int64)
+    n_values, n_rank = np.unique(np.append(c1, 0), return_inverse=True)
+    m_values, m_rank = np.unique(np.append(c2, 0), return_inverse=True)
+    # one int64 key per category orders the (n, m) pairs; it packs the two
+    # ranks, not the counts, which reach 2^63 - 1: a rank is below the
+    # vector length, itself below 2^31 (as _total assumes)
+    width = len(m_values)
+    key = np.sort(n_rank * width + m_rank)
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    n, m = n_values[key[start] // width], m_values[key[start] % width]
+    nu = np.diff(np.append(start, len(key)))
     nu[0] += K - len(c1) - 1
     if nu[0] == 0:
         n, m, nu = n[1:], m[1:], nu[1:]
@@ -185,7 +226,11 @@ def load_count_files(path1, path2=None, k=None):
         K = header_k
     else:
         raise ValueError("K not given: pass --k or add a #K= header line")
-    cats = first.keys() | second.keys()   # in any order: build_table sorts rows
-    n = np.array([first.get(c, 0) for c in cats], dtype=np.int64)
-    m = np.array([second.get(c, 0) for c in cats], dtype=np.int64)
-    return build_table(n, m, K)
+    # the first file's categories, then those only in the second; the
+    # order does not matter, as build_table sorts the rows
+    n, m = list(first.values()), [second.get(c, 0) for c in first]
+    for c, count in second.items():
+        if c not in first:
+            n.append(0)
+            m.append(count)
+    return build_table(np.array(n, dtype=np.int64), np.array(m, dtype=np.int64), K)

@@ -11,6 +11,16 @@ hyperparameter vectors (shape conventions: alphas (A,), betas (B,) ->
 grid (A, B)); the scalar contract functions evaluate it at one point.
 The grid forms factor every double sum into per-axis pieces combined by
 matrix products, so whole quadrature grids cost a few BLAS calls.
+
+A row term depends on the first sample only through n and on the second
+only through m, so every special function is evaluated on one sample's
+distinct counts, the table's levels: on (A, Un) or (B, Um) arrays, where
+Un and Um lie far below the U rows of a large table.  The evidence and
+the entropy, sums over one sample, contract with the nu summed per level.
+The two-sample grids gather the level columns to the rows by the level
+index and keep their (A,U)x(U,B) products.  Each factor is gathered
+before any row arithmetic, so that arithmetic rounds as a row-by-row
+evaluation would.
 """
 
 from dataclasses import dataclass
@@ -70,12 +80,12 @@ def _at_hp(grid, table, hp):
 
 
 def _axis(table, which_sample):
-    """One sample's (counts, total) of a checked table."""
+    """One sample's (levels, total) of a checked table."""
     check_table(table)
     if which_sample == 1:
-        return table.n, table.N
+        return table.n_levels, table.N
     if which_sample == 2:
-        return table.m, table.M
+        return table.m_levels, table.M
     raise ValueError("which_sample must be 1 or 2")
 
 
@@ -87,17 +97,18 @@ def _grid_vec(values, name):
 
 
 def _sample_params(table, values, which_sample, name):
-    """Checked concentrations v, x = counts + v (a row per v), X = total + K v."""
-    counts, total = _axis(table, which_sample)
+    """Checked concentrations v, x = level + v (a row per v), X = total + K v,
+    and the sample's levels."""
+    levels, total = _axis(table, which_sample)
     v = _grid_vec(values, name)
-    return v, counts[None, :] + v[:, None], total + table.K * v
+    return v, levels.values[None, :] + v[:, None], total + table.K * v, levels
 
 
 def _params(table, alphas, betas):
-    """Checked (alphas, betas, x, X, y, Y) of the two samples' posteriors."""
-    alphas, x, X = _sample_params(table, alphas, 1, "alphas")
-    betas, y, Y = _sample_params(table, betas, 2, "betas")
-    return alphas, betas, x, X, y, Y
+    """Checked (alphas, x, X, n levels, y, Y, m levels) of the two posteriors."""
+    alphas, x, X, n_levels = _sample_params(table, alphas, 1, "alphas")
+    _, y, Y, m_levels = _sample_params(table, betas, 2, "betas")
+    return alphas, x, X, n_levels, y, Y, m_levels
 
 
 # --- prior means ----------------------------------------------------------
@@ -127,11 +138,11 @@ def log_evidence_grid(table, alphas, which_sample=1):
     digits that separate alphas on a flat evidence; this form keeps them.
     The dropped constant cancels in every posterior ratio.
     """
-    counts, total = _axis(table, which_sample)
+    levels, total = _axis(table, which_sample)
     alphas = _grid_vec(alphas, "alphas")
-    seen = counts > 0
-    n = counts[seen].astype(float)
-    out = -(_sp.betaln(alphas[:, None], n) @ table.nu[seen].astype(float))
+    seen = levels.values > 0
+    n = levels.values[seen].astype(float)
+    out = -(_sp.betaln(alphas[:, None], n) @ levels.nu[seen].astype(float))
     if total > 0:
         out += _sp.betaln(table.K * alphas, float(total))
     return out
@@ -147,25 +158,25 @@ def log_evidence_gradient(table, alpha, which_sample=1):
 
     ``alpha`` may be a scalar or a 1-d array; the result has its shape.
     """
-    counts, total = _axis(table, which_sample)
+    levels, total = _axis(table, which_sample)
     av = _grid_vec(alpha, "alpha")
     K = table.K
-    nz = counts > 0
+    nz = levels.values > 0
     out = -K * delta_psi(total + K * av, K * av)
     if nz.any():
-        per_pair = delta_psi(counts[nz][None, :] + av[:, None], av[:, None])
-        out += per_pair @ table.nu[nz].astype(float)
+        per_level = delta_psi(levels.values[nz][None, :] + av[:, None], av[:, None])
+        out += per_level @ levels.nu[nz].astype(float)
     return float(out[0]) if np.ndim(alpha) == 0 else out
 
 
 def log_evidence_curvature(table, alpha, which_sample=1):
     """d^2/d(alpha)^2 of log_evidence at one alpha, as trigamma differences."""
-    counts, total = _axis(table, which_sample)
+    levels, total = _axis(table, which_sample)
     K, a = table.K, float(check_positive(alpha, "alpha"))
-    nz = counts > 0
+    nz = levels.values > 0
     out = -K * K * (trigamma(total + K * a) - trigamma(K * a))
     if nz.any():
-        out += float(table.nu[nz] @ (trigamma(counts[nz] + a) - trigamma(a)))
+        out += float(levels.nu[nz] @ (trigamma(levels.values[nz] + a) - trigamma(a)))
     return float(out)
 
 
@@ -173,18 +184,18 @@ def log_evidence_curvature(table, alpha, which_sample=1):
 
 def entropy_grid(table, alphas, which_sample=1):
     """Posterior mean entropy of one sample's distribution, over alphas."""
-    _, x, X = _sample_params(table, alphas, which_sample, "alphas")
-    w = table.nu[None, :] * x / X[:, None]
-    s = delta_psi(X[:, None] + 1.0, x + 1.0)
-    return (w * s).sum(axis=1)
+    _, x, X, levels = _sample_params(table, alphas, which_sample, "alphas")
+    s = x / X[:, None] * delta_psi(X[:, None] + 1.0, x + 1.0)
+    return s @ levels.nu.astype(float)
 
 
 def dkl_grid(table, alphas, betas):
     """Posterior mean KL divergence <D(q||t)> on the (alphas, betas) grid."""
-    _, _, x, X, y, Y = _params(table, alphas, betas)
-    w = table.nu[None, :] * x / X[:, None]                  # (A, U)
-    cross = delta_psi(Y[:, None], y)                        # (B, U)
-    ent = delta_psi(X[:, None] + 1.0, x + 1.0)              # (A, U)
+    _, x, X, n_levels, y, Y, m_levels = _params(table, alphas, betas)
+    i, j = n_levels.index, m_levels.index
+    w = table.nu * x.take(i, axis=1) / X[:, None]                 # (A, U)
+    cross = delta_psi(Y[:, None], y).take(j, axis=1)              # (B, U)
+    ent = delta_psi(X[:, None] + 1.0, x + 1.0).take(i, axis=1)    # (A, U)
     return w @ cross.T - (w * ent).sum(axis=1)[:, None]
 
 
@@ -195,17 +206,18 @@ def posterior_dkl(table, hp):
 
 def hellinger_sq_grid(table, alphas, betas):
     """Posterior mean squared Hellinger distance on the grid."""
-    _, _, x, X, y, Y = _params(table, alphas, betas)
+    _, x, X, n_levels, y, Y, m_levels = _params(table, alphas, betas)
     # B(1/2, X)/B(1/2, x_i) per category, the posterior mean of sqrt(q_i),
     # is sqrt(x_i/X) exp(h(x_i) - h(X)) with h = log_half_ratio; likewise
     # for t.  Both ratios are <= 1, so no overflow.
-    r = table.nu[None, :] * np.sqrt(x / X[:, None]) * np.exp(
+    i, j = n_levels.index, m_levels.index
+    r = table.nu * np.sqrt(x / X[:, None]).take(i, axis=1) * np.exp(
         log_half_ratio(x) - log_half_ratio(X)[:, None]
-    )
+    ).take(i, axis=1)
     s = np.sqrt(y / Y[:, None]) * np.exp(
         log_half_ratio(y) - log_half_ratio(Y)[:, None]
     )
-    return 1.0 - r @ s.T
+    return 1.0 - r @ s.take(j, axis=1).T
 
 
 def posterior_hellinger_sq(table, hp):
@@ -233,13 +245,18 @@ def dkl_squared_grid(table, alphas, betas):
     cancels in every p - t, so that near the uniform distribution the
     expanded terms stay small and lose few digits.
     """
-    alphas, _, x, X, y, Y = _params(table, alphas, betas)   # x (A, U), y (B, U)
+    alphas, x, X, n_levels, y, Y, m_levels = _params(table, alphas, betas)
+    i, j = n_levels.index, m_levels.index
     nu = table.nu.astype(float)
     K = table.K
 
     XX1 = X * (X + 1.0)
-    p = delta_psi(x + 1.0, X[:, None] + 2.0) + np.log(K)   # (A, U)
-    t = delta_psi(y, Y[:, None]) + np.log(K)              # (B, U)
+    p = (delta_psi(x + 1.0, X[:, None] + 2.0) + np.log(K)).take(i, axis=1)   # (A, U)
+    psi1 = trigamma(x + 2.0).take(i, axis=1)                                # (A, U)
+    x = x.take(i, axis=1)                                                   # (A, U)
+    t = delta_psi(y, Y[:, None]) + np.log(K)                                # (B, Um)
+    t2 = (t * t).take(j, axis=1)                                            # (B, U)
+    t = t.take(j, axis=1)                                                   # (B, U)
     nx = nu[None, :] * x                            # (A, U), sums to X
 
     # d = sum_u nu_u x_u p_u - (t . nu n + alpha t . nu), an (A, B) difference
@@ -248,13 +265,13 @@ def dkl_squared_grid(table, alphas, betas):
     np.subtract((nx * p).sum(axis=1)[:, None], out, out=out)
     out *= out
     out /= XX1[:, None]
-    row = nx * (p * p + 2.0 * p + 1.0 / (x + 1.0) + (x + 1.0) * trigamma(x + 2.0))
+    row = nx * (p * p + 2.0 * p + 1.0 / (x + 1.0) + (x + 1.0) * psi1)
     out += (row.sum(axis=1) / XX1 - trigamma(X + 2.0))[:, None]
     out -= trigamma(Y)
     w = nx / XX1[:, None]
     out += (-2.0 * w * (p + 1.0)) @ t.T
-    out += w @ (t * t).T
-    out += (w * (x + 1.0)) @ trigamma(y).T
+    out += w @ t2.T
+    out += (w * (x + 1.0)) @ trigamma(y).take(j, axis=1).T
     return out
 
 

@@ -7,8 +7,6 @@ nearby arguments do not cancel, and ``log_half_ratio``, the log Gamma
 ratio behind every B(1/2, .) ratio of the Hellinger formulas.
 """
 
-import math
-
 import numpy as np
 from scipy import special as _sp
 
@@ -66,20 +64,28 @@ def log_half_ratio(x):
 # where subtracting two digamma values loses most significant digits.  The
 # kernel below raises both arguments in lockstep, accumulating the exact
 # recurrence terms d/((z1+k)(z2+k)), then takes the asymptotic series of
-# the *difference*, which is free of cancellation term by term.  Every
-# element takes the same number of steps, enough to lift the smallest to
-# _RAISE_TO; the terms are >= 0, so extra steps on elements that are
-# already large keep their relative accuracy.
+# the *difference*, which is free of cancellation term by term.  Each
+# element takes its own number of steps, enough to lift its smaller
+# argument to _RAISE_TO, so its value does not depend on the rest of the
+# batch it is evaluated in.  An element already past _RAISE_TO takes no
+# step; the series runs to its 1/z^10 term, so that even for nearby
+# arguments its truncation stays near 2e-16 relative there.
 
 _RAISE_TO = 18.0
 
 
 def _delta_psi_kernel(big, small, gap):
     """psi(big) - psi(small) for big = small + gap, gap >= 0, elementwise."""
-    steps = max(0, math.ceil(_RAISE_TO - small.min())) if small.size else 0
+    steps = np.maximum(np.ceil(_RAISE_TO - small), 0.0)
     acc = np.zeros_like(small)
-    for k in range(steps):
-        acc += gap / ((big + k) * (small + k))
+    low = steps > 0.0   # the recurrence runs on these elements only
+    if low.any():
+        low_big, low_small, low_gap, low_steps = big[low], small[low], gap[low], steps[low]
+        part = np.zeros_like(low_small)
+        for k in range(int(low_steps.max())):
+            term = low_gap / ((low_big + k) * (low_small + k))
+            np.add(part, term, out=part, where=k < low_steps)
+        acc[low] = part
     a, b, d = big + steps, small + steps, gap
     ab = a * b
     a2, b2 = a * a, b * b
@@ -91,6 +97,8 @@ def _delta_psi_kernel(big, small, gap):
     series -= d * apb * (a2 + b2) / (120.0 * a4 * b4)
     series += d * apb * (a4 + a2 * b2 + b4) / (252.0 * a4 * a2 * b4 * b2)
     series -= d * apb * (a2 + b2) * (a4 + b4) / (240.0 * a4 * a4 * b4 * b4)
+    series += d * apb * (a4 * a4 + a4 * a2 * b2 + a4 * b4 + a2 * b2 * b4 + b4 * b4) / (
+        132.0 * a4 * a4 * a2 * b4 * b4 * b2)
     return acc + series
 
 

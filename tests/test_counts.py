@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bayesdiv.counts import build_table, load_count_files
+from bayesdiv.estimators import _canonical_orientation
 
 from _oracles import brute_double_sum, expand_counts
 
@@ -68,6 +69,26 @@ def test_build_table_matches_a_counter_of_pairs(case):
     for arr in (table.n, table.m, table.nu):
         assert arr.dtype == np.int64
         assert not arr.flags.writeable
+    # the tables the estimators see: this one and, from either sample
+    # order, the canonical orientation, which may swap the samples
+    mirror = build_table(m, n, K)
+    for seen in (table, _canonical_orientation(table)[0], _canonical_orientation(mirror)[0]):
+        _assert_sorted_with_levels(seen)
+
+
+def _assert_sorted_with_levels(table):
+    """Rows sorted by (n, m), and each sample's levels reproduce its counts."""
+    pairs = list(zip(table.n.tolist(), table.m.tolist()))
+    assert pairs == sorted(set(pairs))
+    for counts, levels in ((table.n, table.n_levels), (table.m, table.m_levels)):
+        assert levels.values.tolist() == sorted(set(counts.tolist()))
+        assert np.array_equal(levels.values[levels.index], counts)
+        per_level = Counter()
+        for c, nu in zip(counts.tolist(), table.nu.tolist()):
+            per_level[c] += nu
+        assert levels.nu.tolist() == [per_level[v] for v in levels.values.tolist()]
+        for arr in (levels.values, levels.nu, levels.index):
+            assert not arr.flags.writeable
 
 
 def test_build_table_accepts_integer_valued_floats():
@@ -213,6 +234,25 @@ def test_tsv_line_order_does_not_change_the_table(tmp_path):
     assert (a.K, a.N, a.M) == (b.K, b.N, b.M) == (9, 7, 9)
     for field in ("n", "m", "nu"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.mark.parametrize("first, second", [
+    (["a\t3", "b\t1", "c\t2"], ["b\t4", "d\t5"]),   # a, c only in the first
+    (["a\t3", "b\t1"], ["c\t2", "d\t2", "e\t7"]),   # disjoint ids
+], ids=["overlapping", "disjoint"])
+def test_tsv_pair_gives_the_joint_csv_table(tmp_path, first, second):
+    # the same K=7 categories written as a TSV pair and as an n,m CSV
+    ids = sorted({line.split("\t")[0] for line in first + second})
+    counts = [dict(line.split("\t") for line in sample) for sample in (first, second)]
+    rows = [f"{counts[0].get(c, 0)},{counts[1].get(c, 0)}" for c in ids]
+    rows += ["0,0"] * (7 - len(ids))
+    f1 = _write(tmp_path, "a.tsv", "\n".join(first) + "\n")
+    f2 = _write(tmp_path, "b.tsv", "\n".join(second) + "\n")
+    pair = load_count_files(f1, f2, k=7)
+    joint = load_count_files(_write(tmp_path, "j.csv", "\n".join(rows) + "\n"))
+    assert (pair.K, pair.N, pair.M) == (joint.K, joint.N, joint.M)
+    for field in ("n", "m", "nu"):
+        assert np.array_equal(getattr(pair, field), getattr(joint, field))
 
 
 def test_load_single_csv(tmp_path):

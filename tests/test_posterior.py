@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayesdiv.counts import build_table
+from bayesdiv.estimators import _canonical_orientation
 from bayesdiv.hyperprior import _log_g
 from bayesdiv.posterior import (
     HyperParams,
@@ -27,6 +29,9 @@ from bayesdiv.posterior import (
 
 from _oracles import (
     dkl_squared_pairwise,
+    entropy_mpmath,
+    evidence_mpmath,
+    hellinger_sq_mpmath,
     kl_moments_mpmath,
     posterior_mc,
     random_count_pair,
@@ -413,3 +418,74 @@ def test_grids_match_scalar_evaluations():
     got_ent = entropy_grid(table, alphas, 1)
     for i, a in enumerate(alphas):
         assert got_ent[i] == pytest.approx(entropy_grid(table, [a], 1)[0], rel=1e-12, abs=0)
+
+
+# --- per-level evaluation against row-by-row oracles -----------------------
+
+@st.composite
+def _level_tables(draw):
+    """A small table and whether to pass it through the canonical swap.
+
+    "repeating" tables list every pair of 2-3 distinct n values and 2-3
+    distinct m values, so U exceeds both Un and Um; "empty" is the
+    all-(0, 0) table; "distinct" lists distinct n and distinct m values,
+    so that U = Un = Um unless a padding (0, 0) row repeats a zero.
+    """
+    kind = draw(st.sampled_from(["repeating", "repeating", "empty", "distinct"]))
+    count = st.integers(0, 5) | st.integers(0, 10_000)
+    if kind == "empty":
+        n = m = []
+    elif kind == "distinct":
+        n = draw(st.lists(count, min_size=2, max_size=8, unique=True))
+        m = draw(st.lists(count, min_size=len(n), max_size=len(n), unique=True))
+    else:
+        n_values = draw(st.lists(count, min_size=2, max_size=3, unique=True))
+        m_values = draw(st.lists(count, min_size=2, max_size=3, unique=True))
+        pairs = [(a, b) for a in n_values for b in m_values]
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+        n, m = [a for a, _ in pairs], [b for _, b in pairs]
+    K = len(n) + draw(st.integers(0 if n else 2, 3))
+    return build_table(n, m, K), draw(st.booleans())
+
+
+_ALPHAS, _BETAS = [1e-3, 0.7, 40.0], [2e-3, 90.0]
+
+
+def _near_difference(got, first, second):
+    # the evidence derivatives and H^2 are differences of two sums, which
+    # cancel where the evidence is flat (exactly, for a one-count sample)
+    # or the two posteriors nearly agree; there the error is bounded by
+    # the size of the sums instead
+    want = first - second
+    assert abs(got - want) <= max(1e-10 * abs(want), 1e-13 * (abs(first) + abs(second)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_level_tables())
+def test_evaluators_on_levels_match_row_by_row_oracles(case):
+    # every evaluator computes its special functions once per distinct
+    # count and gathers or contracts them to the rows; the oracles sum
+    # over the rows at 30 or 40 digits
+    table, swap = case
+    if swap:
+        table, _ = _canonical_orientation(table)
+    rel = dict(rel=1e-10, abs=0)
+    for which, values in ((1, _ALPHAS), (2, _BETAS)):
+        grid = log_evidence_grid(table, values, which)
+        gradient = log_evidence_gradient(table, np.array(values), which)
+        entropy = entropy_grid(table, values, which)
+        for k, v in enumerate(values):
+            value, grad, curv = evidence_mpmath(table, v, which, dps=30)
+            assert grid[k] == pytest.approx(value, **rel), (which, v)
+            _near_difference(gradient[k], *grad)
+            _near_difference(log_evidence_curvature(table, v, which), *curv)
+            assert entropy[k] == pytest.approx(entropy_mpmath(table, v, which), **rel)
+    first = dkl_grid(table, _ALPHAS, _BETAS)
+    second = dkl_squared_grid(table, _ALPHAS, _BETAS)
+    hellinger = hellinger_sq_grid(table, _ALPHAS, _BETAS)
+    for i, a in enumerate(_ALPHAS):
+        for j, b in enumerate(_BETAS):
+            want_first, want_second = kl_moments_mpmath(table, a, b, dps=30)
+            assert first[i, j] == pytest.approx(want_first, **rel), (a, b)
+            assert second[i, j] == pytest.approx(want_second, **rel), (a, b)
+            _near_difference(hellinger[i, j], 1.0, 1.0 - hellinger_sq_mpmath(table, a, b))

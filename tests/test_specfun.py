@@ -109,6 +109,31 @@ def test_delta_psi_integer_gaps_match_mpmath():
     assert worst <= 2e-14
 
 
+def test_delta_psi_of_a_batch_element_is_that_element_alone():
+    # each element takes its own recurrence steps, so an element's value
+    # does not depend on the batch: bases from 1e-6 to 1e6, in either
+    # argument order, give the bits of the scalar call
+    small = np.geomspace(1e-6, 1e6, 25)
+    gaps = np.array([0.0, 1e-9, 0.5, 3.0, 17.5, 1e4])
+    z2 = np.repeat(small, len(gaps)).reshape(-1, len(gaps))
+    z1 = z2 + gaps
+    for a1, a2 in ((z1, z2), (z2, z1)):
+        batch = delta_psi(a1, a2)
+        for x, y, got in zip(a1.ravel().tolist(), a2.ravel().tolist(), batch.ravel().tolist()):
+            assert got == delta_psi(x, y), (x, y)
+
+
+@pytest.mark.parametrize("small", [18.0, 18.5, 21.0, 30.0, 64.0])
+def test_delta_psi_keeps_its_digits_where_no_recurrence_step_is_taken(small):
+    # from a base of 18 on, the asymptotic series alone gives the value;
+    # with nearby arguments its truncation would show first
+    worst = 0.0
+    for gap in (1e-6, 1e-3, 0.5, 2.0, 40.0):
+        truth = float(mpmath.digamma(mpmath.mpf(small + gap)) - mpmath.digamma(small))
+        worst = max(worst, abs(delta_psi(small + gap, small) - truth) / truth)
+    assert worst <= 1e-15
+
+
 def test_delta_psi_broadcasts():
     z1 = np.array([2.0, 3.0, 4.0])
     out = delta_psi(z1, 1.0)
