@@ -71,7 +71,6 @@ class ExperimentConfig:
     divergence: str = "kl"
     master_seed: int = 0
     nested_subsample: bool = False
-    parent_size: int | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -99,8 +98,6 @@ class ExperimentConfig:
             est.check_estimator(name, self.divergence)
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("duplicate estimator in estimators")
-        if self.parent_size is not None and self.parent_size < max(self.size_ladder):
-            raise ValueError("parent_size must cover the largest ladder size")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -131,11 +128,10 @@ def _rep_rows(config, chain_laws, rep, rep_seed):
         return synth.sample_multinomial(q, size, draw), synth.sample_multinomial(t, size, draw)
 
     if config.nested_subsample:
-        parent_size = config.parent_size or max(config.size_ladder)
-        parent_n, parent_m = fresh_pair(parent_size)
+        parent_n, parent_m = fresh_pair(config.size_ladder[-1])   # the ladder increases
 
         def sample_pair(size):
-            if size == parent_size:
+            if size == config.size_ladder[-1]:
                 return parent_n, parent_m
             return (
                 draw.multivariate_hypergeometric(parent_n, size),

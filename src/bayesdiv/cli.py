@@ -6,6 +6,11 @@ Three subcommands:
 * ``convergence``: repetition ladders of synthetic data, tidy CSV.
 * ``nstar``: N*/K convergence scores over a grid of Dirichlet truths.
 
+``convergence`` and ``nstar`` take flags only, each flag's dest an
+``ExperimentConfig`` field.  An ``@FILE`` argument stands for the flags
+in that file ("#" starts a comment); a flag after it overrides it.
+``estimate`` expands no ``@``.
+
 Exit codes: 0 on success; 3 only when an estimator rejects a table
 (``estimators.EstimatorError``); 2 for every other input, configuration
 or output-file problem, also one found during a run.
@@ -33,48 +38,16 @@ def _floats(text):
 def _names(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
-def _bool(text):
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
-
-def _config_tokens(path):
-    """The `key = value` lines of a config file as flag tokens.
-
-    Blank lines and # comments are skipped; a key may be spelled with
-    "-" or "_".  A true ``nested_subsample`` becomes the bare flag.
-    """
-    tokens = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            if flag == "--nested-subsample":
-                tokens += [flag] if _bool(value) else []
-            else:
-                tokens.append(f"{flag}={value.strip()}")
-    return tokens
+def _arg_line_tokens(line):
+    """The flags on one line of an @FILE: "#" starts a comment."""
+    return line.split("#", 1)[0].split()
 
 
 def _set_fields(args):
-    """The ExperimentConfig fields set by a flag or a config line."""
+    """The ExperimentConfig fields set by a flag."""
     given = {f.name: getattr(args, f.name, None) for f in fields(benchmark.ExperimentConfig)}
     return {name: value for name, value in given.items() if value is not None}
-
-
-def _single(values, flag):
-    if len(values) != 1:
-        raise ValueError(f"--{flag} takes one value here")
-    return values[0]
 
 
 def cmd_estimate(args):
@@ -95,17 +68,18 @@ def cmd_estimate(args):
     return 0
 
 
-def cmd_convergence(args):
-    truth = {
-        f"{key}_true": _single(getattr(args, key), key)
-        for key in ("alpha", "beta") if getattr(args, key) is not None
-    }
+def _run_experiment(args, run, write, **truth):
+    """Build the config, check --out, run, and write the CSV."""
     config = benchmark.ExperimentConfig(**_set_fields(args), **truth)
     if not args.out:
-        raise ValueError("--out is required for convergence runs")
+        raise ValueError(f"--out is required for {args.command} runs")
     open(args.out, "a").close()   # fail before the run; append truncates nothing
-    benchmark.write_rows_csv(benchmark.run_convergence(config), args.out)
+    write(run(config), args.out)
     return 0
+
+
+def cmd_convergence(args):
+    return _run_experiment(args, benchmark.run_convergence, benchmark.write_rows_csv)
 
 
 def cmd_nstar(args):
@@ -113,25 +87,19 @@ def cmd_nstar(args):
     betas = (benchmark.ExperimentConfig.beta_true,) if args.beta is None else args.beta
     check_positive(alphas, "--alpha")
     check_positive(betas, "--beta")
-    config = benchmark.ExperimentConfig(
-        **_set_fields(args), alpha_true=alphas[0], beta_true=betas[0]
-    )
-    if not args.out:
-        raise ValueError("--out is required for nstar runs")
-    open(args.out, "a").close()   # fail before the run; append truncates nothing
-    benchmark.write_nstar_csv(benchmark.run_nstar(config, alphas, betas), args.out)
-    return 0
+    return _run_experiment(args, lambda config: benchmark.run_nstar(config, alphas, betas),
+                           benchmark.write_nstar_csv, alpha_true=alphas[0], beta_true=betas[0])
 
 
-def _add_experiment_flags(sub):
-    """The settings of convergence and nstar; each dest is an ExperimentConfig field."""
-    sub.add_argument("--config", help="key=value file; flags override it")
+def _add_experiment_parser(subs, name, help, func):
+    """A subcommand whose flags set ExperimentConfig fields (each dest is
+    one) and may also be read from an @FILE."""
+    sub = subs.add_parser(name, help=help, fromfile_prefix_chars="@")
+    sub.convert_arg_line_to_args = _arg_line_tokens
     sub.add_argument("--generator", choices=("dirichlet", "markov"))
     sub.add_argument("--k", dest="K", type=int, help="number of categories (dirichlet)")
     sub.add_argument("--states", type=int, help="markov state count")
     sub.add_argument("--gram-length", type=int)
-    sub.add_argument("--alpha", type=_floats, help="truth concentration(s), comma separated")
-    sub.add_argument("--beta", type=_floats, help="truth concentration(s), comma separated")
     sub.add_argument("--ladder", dest="size_ladder", metavar="LADDER", type=_ints,
                      help="sample sizes, comma separated")
     sub.add_argument("--reps", dest="repetitions", metavar="REPS", type=int)
@@ -142,8 +110,9 @@ def _add_experiment_flags(sub):
     sub.add_argument("--out", help="output CSV path")
     sub.add_argument("--nested-subsample", action="store_true", default=None,
                      help="subsample each ladder size from one parent sample")
-    sub.add_argument("--parent-size", type=int)
     sub.add_argument("--workers", type=int, help="parallel repetition workers")
+    sub.set_defaults(func=func)
+    return sub
 
 
 def main(argv=None):
@@ -161,21 +130,17 @@ def main(argv=None):
     p_est.add_argument("--k", type=int, help="number of categories")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_conv = subs.add_parser("convergence", help="run a convergence ladder to CSV")
-    _add_experiment_flags(p_conv)
-    p_conv.set_defaults(func=cmd_convergence)
+    p_conv = _add_experiment_parser(subs, "convergence", "run a convergence ladder to CSV",
+                                    cmd_convergence)
+    p_nstar = _add_experiment_parser(subs, "nstar", "N*/K scores over a truth grid", cmd_nstar)
+    for key in ("alpha", "beta"):
+        p_conv.add_argument(f"--{key}", dest=f"{key}_true", metavar=key.upper(), type=float,
+                            help="truth concentration")
+        p_nstar.add_argument(f"--{key}", type=_floats,
+                             help="truth concentrations, comma separated")
 
-    p_nstar = subs.add_parser("nstar", help="N*/K scores over a truth grid")
-    _add_experiment_flags(p_nstar)
-    p_nstar.set_defaults(func=cmd_nstar)
-
-    # config lines go right after the subcommand, so that explicit flags,
-    # parsed later, override them
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args = parser.parse_args([argv[0], *_config_tokens(args.config), *argv[1:]])
         return args.func(args)
     except SystemExit as exc:
         return exc.code

@@ -8,6 +8,7 @@ sample's distinct counts (its levels) are kept too: a term that depends on
 one sample only needs computing once per level, not once per row.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,8 @@ class MultiplicityTable:
     """Compressed two-sample count table over K categories.
 
     Rows are distinct (n, m) pairs sorted by n, then m, as build_table
-    makes them, so the table depends only on the multiset of pairs.
+    makes them, so the table depends only on the multiset of pairs;
+    construction checks this, nu >= 1 summing to K, and exact N and M.
     ``n_levels`` and ``m_levels`` hold each sample's distinct counts,
     computed once when the table is made; row u has
     n[u] = n_levels.values[n_levels.index[u]], and likewise for m.
@@ -61,8 +63,21 @@ class MultiplicityTable:
     m_levels: Levels = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_levels", _levels(self.n, self.nu))
-        object.__setattr__(self, "m_levels", _levels(self.m, self.nu))
+        n, m, nu = self.n, self.m, self.nu
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 1
+                   and 0 < a.size == n.size for a in (n, m, nu)):
+            raise ValueError("n, m and nu must be non-empty 1-D int64 arrays of one length")
+        if n.min() < 0 or m.min() < 0 or nu.min() < 1:
+            raise ValueError("counts must be non-negative and each nu at least 1")
+        if np.any((n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (m[1:] <= m[:-1]))):
+            raise ValueError("rows must be strictly sorted by (n, m)")
+        if not sum(nu.tolist()) == self.K <= _MAX_COUNT:   # so no level's nu wraps
+            raise ValueError(f"nu must sum to K, at most {_MAX_COUNT}")
+        for name, total, counts in (("N", self.N, n), ("M", self.M, m)):
+            levels = _levels(counts, nu)
+            if total != sum(map(operator.mul, levels.values.tolist(), levels.nu.tolist())):
+                raise ValueError(f"{name} must equal the sum of nu times the counts")
+            object.__setattr__(self, f"{name.lower()}_levels", levels)
 
     def observed_categories(self, which_sample):
         """Number of categories with a positive count in one sample."""
@@ -107,8 +122,8 @@ def build_table(counts1, counts2, K):
     c2 = _as_count_vector(counts2, "counts2")
     if c1.shape != c2.shape:
         raise ValueError("count vectors must have equal length")
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ValueError("K must be a positive integer")
+    if not isinstance(K, (int, np.integer)) or not 1 <= K <= _MAX_COUNT:
+        raise ValueError(f"K must be an integer in 1..{_MAX_COUNT}")
     K = int(K)
     if len(c1) > K:
         raise ValueError(f"{len(c1)} categories listed but K={K}")

@@ -61,7 +61,6 @@ def test_config_category_count_markov():
         {"estimators": ("naive", "mle")},
         {"estimators": ("naive", "naive")},
         {"estimators": ("zhang",), "divergence": "hellinger2"},
-        {"size_ladder": (10, 40), "parent_size": 30},
         {"workers": 0},
     ],
 )

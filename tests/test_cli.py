@@ -237,57 +237,68 @@ def test_convergence_markov_generator(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2 * 2
 
 
-def test_convergence_config_file_and_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# tiny run\n"
-        "k = 6\n"
-        "ladder = 10,20\n"
-        "reps = 2\n"
-        "estimator = naive\n"
-        "seed = 11\n"
+def _args_file(tmp_path, *lines):
+    path = tmp_path / "run.args"
+    path.write_text("\n".join(lines) + "\n")
+    return "@" + str(path)
+
+
+def test_convergence_args_file_and_later_flag_override(tmp_path, capsys):
+    args_file = _args_file(
+        tmp_path,
+        "# tiny run",
+        "--k 6 --ladder 10,20",
+        "",
+        "--reps 2   # overridden below",
+        "--estimator naive",
+        "--seed 11",
     )
     out = tmp_path / "out.csv"
-    assert main(["convergence", "--config", str(cfg), "--reps", "3",
-                 "--out", str(out)]) == 0
+    assert main(["convergence", args_file, "--reps", "3", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    # flag --reps 3 overrides reps=2 from the file
+    # flag --reps 3 overrides --reps 2 from the file
     assert len(lines) == 1 + 1 * 2 * 3
 
 
-def test_convergence_unknown_config_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("krnl = 6\n")
-    code = main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+def test_convergence_unknown_flag_in_args_file_exits_2(tmp_path, capsys):
+    args_file = _args_file(tmp_path, "--krnl 6")
+    code = main(["convergence", args_file, "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "krnl" in capsys.readouterr().err
 
 
-def test_convergence_malformed_config_line_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("just words\n")
-    code = main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+@pytest.mark.parametrize("command", ["convergence", "nstar"])
+def test_missing_args_file_exits_2(tmp_path, capsys, command):
+    code = main([command, "@" + str(tmp_path / "nope.args"), "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    assert "nope.args" in capsys.readouterr().err
 
 
-# (key, value, the ExperimentConfig fields it sets).  A config file may
-# spell the key with "_" or "-".  hellinger2 needs an estimator list
-# without zhang, which is KL-only.
+def test_estimate_reads_an_at_sign_path_as_a_count_file(tmp_path, capsys, monkeypatch):
+    _pair_csv(tmp_path, "@pair.csv", [3, 1], [1, 2])
+    monkeypatch.chdir(tmp_path)
+    code, payload = _run_json(capsys, ["estimate", "@pair.csv", "--estimator", "jeffreys"])
+    assert code == 0
+    assert payload["value"] > 0.0
+
+
+# (flag, its value or None for a bare flag, the ExperimentConfig fields
+# it sets).  hellinger2 needs an estimator list without zhang, which is
+# KL-only.
 SETTINGS = [
-    ("generator", "markov", {"generator": "markov"}),
-    ("k", "7", {"K": 7}),
-    ("states", "5", {"states": 5}),
-    ("gram_length", "3", {"gram_length": 3}),
-    ("alpha", "2.5", {"alpha_true": 2.5}),
-    ("beta", "0.5", {"beta_true": 0.5}),
-    ("ladder", "10,20", {"size_ladder": (10, 20)}),
-    ("reps", "3", {"repetitions": 3}),
-    ("estimator", "naive,zhang", {"estimators": ("naive", "zhang")}),
-    ("divergence", "hellinger2", {"divergence": "hellinger2", "estimators": ("naive",)}),
-    ("seed", "9", {"master_seed": 9}),
-    ("nested_subsample", "yes", {"nested_subsample": True}),
-    ("parent_size", "50000", {"parent_size": 50000}),
-    ("workers", "2", {"workers": 2}),
+    ("--generator", "markov", {"generator": "markov"}),
+    ("--k", "7", {"K": 7}),
+    ("--states", "5", {"states": 5}),
+    ("--gram-length", "3", {"gram_length": 3}),
+    ("--alpha", "2.5", {"alpha_true": 2.5}),
+    ("--beta", "0.5", {"beta_true": 0.5}),
+    ("--ladder", "10,20", {"size_ladder": (10, 20)}),
+    ("--reps", "3", {"repetitions": 3}),
+    ("--estimator", "naive,zhang", {"estimators": ("naive", "zhang")}),
+    ("--divergence", "hellinger2", {"divergence": "hellinger2", "estimators": ("naive",)}),
+    ("--seed", "9", {"master_seed": 9}),
+    ("--nested-subsample", None, {"nested_subsample": True}),
+    ("--workers", "2", {"workers": 2}),
 ]
 
 
@@ -296,21 +307,19 @@ def test_settings_cover_every_config_field():
     assert covered == {f.name for f in fields(benchmark.ExperimentConfig)}
 
 
-@pytest.mark.parametrize("via", ["flag", "config_", "config-"])
-@pytest.mark.parametrize("key, text, set_fields", SETTINGS, ids=[s[0] for s in SETTINGS])
-def test_every_setting_reaches_the_config(tmp_path, monkeypatch, via, key, text, set_fields):
+@pytest.mark.parametrize("command", ["convergence", "nstar"])
+@pytest.mark.parametrize("via", ["flag", "file"])
+@pytest.mark.parametrize("flag, text, set_fields", SETTINGS, ids=[s[0][2:] for s in SETTINGS])
+def test_every_setting_reaches_the_config(tmp_path, monkeypatch, command, via, flag, text,
+                                          set_fields):
     seen = []
     monkeypatch.setattr(benchmark, "run_convergence", lambda c: seen.append(c) or [])
-    argv = ["convergence", "--out", str(tmp_path / "c.csv")]
-    if via == "flag":
-        argv.append("--" + key.replace("_", "-"))
-        if key != "nested_subsample":
-            argv.append(text)
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key.replace('_', via[-1])} = {text}\n")
-        argv += ["--config", str(cfg)]
-    if key == "divergence":
+    monkeypatch.setattr(benchmark, "run_nstar", lambda c, a, b: seen.append(c) or [])
+    tokens = [flag] if text is None else [flag, text]
+    if via == "file":
+        tokens = [_args_file(tmp_path, "# one setting", "", " ".join(tokens))]
+    argv = [command, "--out", str(tmp_path / "c.csv"), *tokens]
+    if flag == "--divergence":
         argv += ["--estimator", "naive"]
     assert main(argv) == 0
     assert seen == [benchmark.ExperimentConfig(**set_fields)]

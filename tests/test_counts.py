@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,6 +110,42 @@ def test_build_table_rejects_bad_input():
         build_table([[1], [2]], [[0], [0]], 2)
     with pytest.raises(ValueError):
         build_table([1], [1], 0)
+    with pytest.raises(ValueError, match="K must"):
+        build_table([1], [1], 2**63)
+
+
+def _int64(*values):
+    return np.array(values, dtype=np.int64)
+
+
+# (the rule's message, one broken invariant) applied to the table of
+# build_table([2, 1], [0, 3], 3): rows (0, 0), (1, 3), (2, 0), each
+# once, N = M = 3
+SHAPE, SIGN, ORDER, SUM = "1-D int64 arrays", "non-negative", "sorted", "sum to K"
+BROKEN_TABLES = {
+    "float counts": (SHAPE, dict(n=np.array([0.0, 1.0, 2.0]))),
+    "two-dimensional": (SHAPE, dict(m=_int64(0, 3, 0).reshape(1, 3))),
+    "empty": (SHAPE, dict(n=_int64(), m=_int64(), nu=_int64(), K=0, N=0, M=0)),
+    "lengths differ": (SHAPE, dict(m=_int64(0, 3))),
+    "negative count": (SIGN, dict(n=_int64(-1, 1, 2), N=2)),
+    "nu below 1": (SIGN, dict(nu=_int64(0, 1, 2), N=5)),
+    "rows unsorted": (ORDER, dict(n=_int64(1, 0, 2), m=_int64(3, 0, 0))),
+    "rows repeated": (ORDER, dict(n=_int64(0, 2, 2), m=_int64(0, 0, 0), N=4, M=0)),
+    "nu not summing to K": (SUM, dict(K=4)),
+    "wrong N": ("N must", dict(N=99)),
+    "wrong M": ("M must", dict(M=2)),
+    # 2 * 2^62 wraps to -2^63 in int64
+    "N wrapped in int64": ("N must", dict(n=_int64(0, 2**62), m=_int64(0, 0),
+                                          nu=_int64(1, 2), N=-(2**63), M=0)),
+}
+
+
+@pytest.mark.parametrize("rule, changes", BROKEN_TABLES.values(), ids=BROKEN_TABLES.keys())
+def test_table_rejects_a_broken_invariant(rule, changes):
+    table = build_table([2, 1], [0, 3], 3)
+    assert (_rows(table), table.N, table.M) == ({(0, 0): 1, (1, 3): 1, (2, 0): 1}, 3, 3)
+    with pytest.raises(ValueError, match=rule):
+        replace(table, **changes)
 
 
 def test_table_arrays_are_read_only():

@@ -414,6 +414,32 @@ def test_hellinger_dpm_symmetric_under_sample_swap(pair):
         assert forward == backward, name
 
 
+@st.composite
+def _wide_tables(draw):
+    """K from 2 to 1e7, at most 40 listed categories with counts up to
+    1e12; either sample may be empty."""
+    K = draw(st.sampled_from([2, 3, 10, 400, 10**4, 10**7]))
+    listed = draw(st.integers(0, min(K, 40)))
+    sample = st.lists(st.integers(0, 10**12), min_size=listed, max_size=listed)
+    sample |= st.just([0] * listed)
+    return build_table(draw(sample), draw(sample), K)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_wide_tables())
+def test_bayesian_estimates_lie_in_their_range(table):
+    for name in ("dp", "dpm"):
+        for divergence in ("kl", "hellinger2"):
+            report = estimate(table, name, divergence)
+            assert math.isfinite(report.value), (name, divergence)
+            if divergence == "kl":
+                assert report.value >= 0.0, (name, divergence)
+            else:
+                assert 0.0 <= report.value <= 1.0, (name, divergence)
+            std = report.posterior_std
+            assert std is None or (math.isfinite(std) and std >= 0.0), (name, divergence)
+
+
 def test_hellinger_dpm_diagnostics_name_the_callers_samples():
     # a sparse and a dense sample: their concentrations lie two decades
     # apart, so a swapped label shows
