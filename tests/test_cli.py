@@ -5,6 +5,7 @@ whatever landed on stdout or in the output file.
 """
 
 import json
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -132,6 +133,28 @@ def test_estimate_count_past_int64_exits_2_naming_the_line(tmp_path, capsys, for
     assert code == 2
     assert f"{files[0]}:{3 if form == 'tsv' else 2}:" in capsys.readouterr().err
 
+
+
+def test_estimate_k_disagreeing_with_the_k_header_exits_2(tmp_path, capsys):
+    f1 = _tsv(tmp_path, "a.tsv", [5, 3], k=4)
+    f2 = _tsv(tmp_path, "b.tsv", [4, 4])
+    code = main(["estimate", f1, f2, "--k", "5", "--estimator", "naive"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {f1}: has #K=4 but --k=5\n"
+
+
+@pytest.mark.parametrize("estimator", ["dpm", "zhang"])
+@pytest.mark.parametrize("form", ["csv", "tsv"])
+def test_a_successful_estimate_writes_nothing_to_stderr(tmp_path, capsys, form, estimator):
+    if form == "csv":   # a comment line too, which numpy's reader skips
+        (tmp_path / "pair.csv").write_text("# n,m\n5,3\n0,1\n2,0\n1,2\n")
+        files = [str(tmp_path / "pair.csv")]
+    else:
+        files = [_tsv(tmp_path, "a.tsv", [5, 2, 1], k=6), _tsv(tmp_path, "b.tsv", [3, 1, 0, 2])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", *files, "--estimator", estimator])
+    assert (code, capsys.readouterr().err, caught) == (0, "", [])
 
 # --- convergence ---------------------------------------------------------------------
 

@@ -1,13 +1,17 @@
 """Multiplicity tables: compression, weighted sums, file ingestion."""
 
+import gc
 import math
+import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bayesdiv import counts as counts_module
 from bayesdiv.counts import build_table, load_count_files
 from bayesdiv.estimators import _canonical_orientation
 
@@ -317,3 +321,315 @@ def test_load_too_many_categories_for_k(tmp_path):
 def test_build_table_rejects_a_count_past_int64_before_the_cast(count):
     with pytest.raises(ValueError, match="counts1 must lie in 0..9223372036854775807"):
         build_table(np.array([count]), [1], 2)
+
+
+# --- the count-file grammar: bulk reader against the line walker ----------------
+
+_LIMIT = 2**63 - 1
+
+
+def _ref_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                yield lineno, line
+
+
+def _ref_count(text, path, lineno):
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: not an integer count: {text!r}")
+    if not 0 <= value <= _LIMIT:
+        raise ValueError(f"{path}:{lineno}: count {value} outside 0..{_LIMIT}")
+    return value
+
+
+def _ref_tsv(path):
+    counts, header_k = {}, None
+    for lineno, line in _ref_lines(path):
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.upper().startswith("K="):
+                try:
+                    header_k = int(body[2:])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad #K= header")
+                if header_k < 1:
+                    raise ValueError(f"{path}:{lineno}: K must be positive")
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected category<TAB>count")
+        cat = fields[0].strip()
+        if cat in counts:
+            raise ValueError(f"{path}:{lineno}: duplicate category {cat!r}")
+        counts[cat] = _ref_count(fields[1].strip(), path, lineno)
+    return counts, header_k
+
+
+def _ref_load(path1, path2=None, k=None):
+    """The line walker, written out plainly, with a dict join of the ids."""
+    if path2 is None:
+        n, m = [], []
+        for lineno, line in _ref_lines(path1):
+            if line.startswith("#"):
+                continue
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"{path1}:{lineno}: expected two columns n,m "
+                                 "(one file is read as an n,m CSV)")
+            n.append(_ref_count(fields[0].strip(), path1, lineno))
+            m.append(_ref_count(fields[1].strip(), path1, lineno))
+        if not n:
+            raise ValueError(f"{path1}: no count rows found")
+        if k is not None and k != len(n):
+            raise ValueError(f"{path1}: has {len(n)} rows but --k={k}")
+        return build_table(n, m, len(n))
+    (first, k1), (second, k2) = _ref_tsv(path1), _ref_tsv(path2)
+    if k1 is not None and k2 is not None and k1 != k2:
+        raise ValueError(f"#K= headers disagree: {k1} vs {k2}")
+    header_k = k1 if k1 is not None else k2
+    if k is None and header_k is None:
+        raise ValueError("K not given: pass --k or add a #K= header line")
+    if k is not None and header_k is not None and k != header_k:
+        raise ValueError(f"{path1 if k1 is not None else path2}: "
+                         f"has #K={header_k} but --k={k}")
+    ids = list(first) + [c for c in second if c not in first]
+    return build_table([first.get(c, 0) for c in ids], [second.get(c, 0) for c in ids],
+                       header_k if k is None else k)
+
+
+def _outcome(load, *args):
+    """A loader's table as plain values, or the text of its ValueError."""
+    try:
+        t = load(*args)
+    except ValueError as exc:
+        return str(exc)
+    return t.n.tolist(), t.m.tolist(), t.nu.tolist(), t.K, t.N, t.M
+
+
+# whitespace around a field; "\t" would split a TSV line, so only odd lines get it
+_SPACE = st.sampled_from(["", " ", "\x0c", "\u00a0", "\u3000"])
+_ODD_SPACE = st.sampled_from(["", "\t", "\x1c", "\x85"])
+# counts that int() reads and numpy's reader does not, that neither reads,
+# or that lie out of range
+_ODD_COUNT = st.sampled_from(["+5", "-3", "-0", "1_0", "\u0663", "\u0663\u0663", str(2**63),
+                              str(2**63 - 1), "5.0", "1e3", "x", ""])
+_ODD_ID = st.sampled_from(["", " ", "a", "a#", "#a", "a\x00"])
+# blank lines, comments, headers good and bad, inline "#", extra columns
+_ODD_LINE = st.sampled_from(["", "   ", "\x0c", "#c", "# c # d", "  #c", "#K=6", "# k = 9",
+                             "#K=x", "#K=0", "#K=12", "#K=+7", "a\t1 #x", "a\t1#", "a\t1\t2",
+                             "1,2 #x", "1,2#", "1,2,3", "\t4", ",4"])
+_NEWLINE = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def _count_file(draw, tsv):
+    """A count file's bytes: well-formed lines with distinct ids, then up to
+    two lines that may break the grammar, anywhere, and any line endings."""
+    rows = draw(st.integers(0, 8))
+    if tsv:
+        keys = draw(st.lists(st.text("abc\u00e9", min_size=1, max_size=3),
+                             min_size=rows, max_size=rows, unique=True))
+    else:
+        keys = [str(c) for c in draw(st.lists(st.integers(0, 20), min_size=rows, max_size=rows))]
+    sep = "\t" if tsv else ","
+    space = lambda: draw(_SPACE)
+    lines = [space() + key + space() + sep + space() + str(draw(st.integers(0, 20))) + space()
+             for key in keys]
+    for _ in range(draw(st.integers(0, 2))):
+        odd_row = (draw(_ODD_SPACE) + draw(_ODD_ID if tsv else _ODD_COUNT) + sep
+                   + draw(_ODD_COUNT) + draw(_ODD_SPACE))
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.just(odd_row) | _ODD_LINE))
+    return "".join(line + draw(_NEWLINE) for line in lines).encode()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(first=_count_file(tsv=True), second=_count_file(tsv=True),
+       k=st.none() | st.integers(1, 12))
+def test_tsv_pair_loads_as_the_line_walker_reads_it(tmp_path, first, second, k):
+    paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+    for path, data in zip(paths, (first, second)):
+        path.write_bytes(data)
+    paths = list(map(str, paths))
+    assert _outcome(load_count_files, *paths, k) == _outcome(_ref_load, *paths, k)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_count_file(tsv=False), k=st.none() | st.integers(0, 12))
+def test_joint_csv_loads_as_the_line_walker_reads_it(tmp_path, data, k):
+    path = tmp_path / "j.csv"
+    path.write_bytes(data)
+    assert _outcome(load_count_files, str(path), None, k) == _outcome(_ref_load, str(path), None, k)
+
+
+def _write_lines(tmp_path, name, lines, newline="\n"):
+    path = tmp_path / name
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_well_formed_files_never_reach_the_walker(tmp_path, monkeypatch, newline):
+    # the layout perfbench writes, with comments, blank lines and spaces
+    rng = np.random.default_rng(3)
+    n, m = rng.integers(0, 30, 2000), rng.integers(0, 30, 2000)
+    tsv = [[f"#K={len(n)}", "# a comment", ""] +
+           [f" c{i} \t {c}" for i, c in enumerate(counts.tolist()) if c] for counts in (n, m)]
+    csv = ["# n,m", *(f"{a}, {b}" for a, b in zip(n.tolist(), m.tolist())), "#"]
+    files = [_write_lines(tmp_path, name, lines, newline)
+             for name, lines in (("a.tsv", tsv[0]), ("b.tsv", tsv[1]), ("j.csv", csv))]
+    want = (_outcome(_ref_load, *files[:2]), _outcome(_ref_load, files[2]))
+
+    def walk(path, *_):
+        raise AssertionError(f"{path} was handed to the line walker")
+
+    monkeypatch.setattr(counts_module, "_walk", walk)
+    assert (_outcome(load_count_files, *files[:2]), _outcome(load_count_files, files[2])) == want
+    assert want[0] == want[1]
+
+
+def test_ids_that_differ_by_a_trailing_nul_stay_apart(tmp_path):
+    # a numpy str array drops trailing NULs, so "a" and "a\0" would merge
+    f1 = _write_lines(tmp_path, "a.tsv", ["#K=3", "a\t1"])
+    f2 = _write_lines(tmp_path, "b.tsv", ["a\x00\t2"])
+    table = load_count_files(f1, f2)
+    assert _rows(table) == {(0, 0): 1, (0, 2): 1, (1, 0): 1}
+
+
+@pytest.mark.parametrize("extra", ["# a comment", "  # a comment after spaces"],
+                         ids=["bulk reader", "line walker"])
+def test_the_last_k_header_of_a_file_counts(tmp_path, extra):
+    f1 = _write_lines(tmp_path, "a.tsv", ["#K=5", "a\t1", extra, "#K=7"])
+    f2 = _write_lines(tmp_path, "b.tsv", ["b\t2"])
+    assert load_count_files(f1, f2).K == 7
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_shuffled_data_lines_give_an_identical_table(tmp_path, data):
+    K = data.draw(st.integers(2, 40))
+    n = data.draw(st.lists(st.integers(0, 5) | st.integers(0, 10**12), min_size=K, max_size=K))
+    m = data.draw(st.lists(st.integers(0, 5), min_size=K, max_size=K))
+    tsv = [[f"c{i}\t{c}" for i, c in enumerate(counts) if c] for counts in (n, m)]
+    csv = [f"{a},{b}" for a, b in zip(n, m)]
+    tables = []
+    for order in (lambda lines: lines, lambda lines: data.draw(st.permutations(lines))):
+        files = [_write_lines(tmp_path, "a.tsv", [f"#K={K}", *order(tsv[0])]),
+                 _write_lines(tmp_path, "b.tsv", order(tsv[1]))]
+        tables.append(load_count_files(*files))
+        tables.append(load_count_files(_write_lines(tmp_path, "j.csv", order(csv))))
+    plain = [(t.n.tolist(), t.m.tolist(), t.nu.tolist(), t.K, t.N, t.M) for t in tables]
+    assert plain[0] == plain[1] == plain[2] == plain[3]
+
+
+# --- every rejected line is named path:line ---------------------------------------
+
+TSV_REJECTIONS = {
+    "negative count": ("b\t-2", "count -2 outside 0..9223372036854775807"),
+    "non-integer": ("b\t2.5", "not an integer count: '2.5'"),
+    "three columns": ("b\t2\t1", "expected category<TAB>count"),
+    "one column": ("b", "expected category<TAB>count"),
+    "inline #": ("b\t2 # two", "not an integer count: '2 # two'"),
+    "bad #K= header": ("#K=many", "bad #K= header"),
+    "#K=0 header": ("#K=0", "K must be positive"),
+    "duplicate id": ("a\t4", "duplicate category 'a'"),
+    "empty id": ("\t4", "expected category<TAB>count"),
+}
+CSV_REJECTIONS = {
+    "negative count": ("-2,1", "count -2 outside 0..9223372036854775807"),
+    "non-integer": ("1,2.5", "not an integer count: '2.5'"),
+    "three columns": ("1,2,3", "expected two columns n,m (one file is read as an n,m CSV)"),
+    "one column": ("1", "expected two columns n,m (one file is read as an n,m CSV)"),
+    "inline #": ("1,2 # two", "not an integer count: '2 # two'"),
+    "empty field": (",2", "not an integer count: ''"),
+}
+
+
+@pytest.mark.parametrize("bad, message", TSV_REJECTIONS.values(), ids=TSV_REJECTIONS.keys())
+def test_tsv_rejection_names_the_line(tmp_path, bad, message):
+    f1 = _write_lines(tmp_path, "a.tsv", ["#K=9", "a\t3", "", bad, "c\t1"])
+    f2 = _write_lines(tmp_path, "b.tsv", ["a\t1"])
+    with pytest.raises(ValueError) as exc:
+        load_count_files(f1, f2)
+    assert str(exc.value) == f"{f1}:4: {message}"
+    with pytest.raises(ValueError) as exc:   # the second file is named as well
+        load_count_files(f2, f1)
+    assert str(exc.value) == f"{f1}:4: {message}"
+
+
+@pytest.mark.parametrize("bad, message", CSV_REJECTIONS.values(), ids=CSV_REJECTIONS.keys())
+def test_csv_rejection_names_the_line(tmp_path, bad, message):
+    f = _write_lines(tmp_path, "j.csv", ["# n,m", "3,1", "", bad, "0,2"])
+    with pytest.raises(ValueError) as exc:
+        load_count_files(f)
+    assert str(exc.value) == f"{f}:4: {message}"
+
+
+@pytest.mark.parametrize("layout, bad, message", [
+    ("tsv", "c89998\t-4", "count -4 outside 0..9223372036854775807"),
+    ("tsv", "c1\t4", "duplicate category 'c1'"),
+    ("csv", "7,3 #x", "not an integer count: '3 #x'"),
+    ("csv", "7,3,0", "expected two columns n,m (one file is read as an n,m CSV)"),
+], ids=["tsv negative", "tsv duplicate", "csv inline #", "csv three columns"])
+def test_a_bad_line_deep_in_a_wide_file_is_named(tmp_path, monkeypatch, layout, bad, message):
+    # K=1e5 rows: the bulk reader parses the file, then hands it over
+    K = 100_000
+    if layout == "tsv":
+        lines = [f"#K={K}", *(f"c{i}\t{i % 50}" for i in range(K - 1))]
+    else:
+        lines = [f"{i % 50},{i % 7}" for i in range(K)]
+    lines[90_000 - 1] = bad
+    path = _write_lines(tmp_path, f"wide.{layout}", lines)
+    handed = []
+    bulk = counts_module._bulk_read
+    monkeypatch.setattr(counts_module, "_bulk_read",
+                        lambda *args: handed.append(bulk(*args) is None) or None)
+    paths = [path, _write_lines(tmp_path, "b.tsv", ["c0\t1"])] if layout == "tsv" else [path]
+    with pytest.raises(ValueError) as exc:
+        load_count_files(*paths)
+    assert str(exc.value) == f"{path}:90000: {message}"
+    assert handed == [True]
+
+
+# --- K, empty files, and nothing left behind -------------------------------------
+
+def test_load_tsv_k_must_match_the_header(tmp_path):
+    f1 = _write(tmp_path, "a.tsv", "0\t2\n")
+    f2 = _write(tmp_path, "b.tsv", "#K=6\n0\t1\n")
+    assert load_count_files(f1, f2, k=6).K == 6
+    with pytest.raises(ValueError) as exc:
+        load_count_files(f1, f2, k=7)
+    assert str(exc.value) == f"{f2}: has #K=6 but --k=7"
+
+
+@contextmanager
+def _no_warning():
+    """Record every warning, ResourceWarning included, and expect none."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n"],
+                         ids=["empty", "comment only", "blank lines"])
+def test_a_csv_without_rows_is_rejected_without_a_warning(tmp_path, text):
+    f = _write(tmp_path, "j.csv", text)
+    with _no_warning(), pytest.raises(ValueError) as exc:
+        load_count_files(f)
+    assert str(exc.value) == f"{f}: no count rows found"
+
+
+def test_a_header_only_tsv_pair_is_all_unobserved(tmp_path):
+    f1 = _write(tmp_path, "a.tsv", "#K=5\n")
+    f2 = _write(tmp_path, "b.tsv", "")
+    with _no_warning():
+        table = load_count_files(f1, f2)
+    assert (_rows(table), table.K, table.N, table.M) == ({(0, 0): 5}, 5, 0, 0)
