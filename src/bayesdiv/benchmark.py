@@ -133,10 +133,8 @@ def _rep_rows(config, chain_laws, rep, rep_seed):
         def sample_pair(size):
             if size == config.size_ladder[-1]:
                 return parent_n, parent_m
-            return (
-                draw.multivariate_hypergeometric(parent_n, size),
-                draw.multivariate_hypergeometric(parent_m, size),
-            )
+            return (draw.multivariate_hypergeometric(parent_n, size),
+                    draw.multivariate_hypergeometric(parent_m, size))
 
     else:
         sample_pair = fresh_pair
@@ -287,14 +285,8 @@ def run_nstar(config, alpha_values, beta_values):
             scores = compute_nstar(run_convergence(cell))
             for name in sorted(cell.estimators):
                 nstar = scores.get(name)
-                entries.append(
-                    (
-                        float(a),
-                        float(b),
-                        name,
-                        None if nstar is None else nstar / cell.category_count,
-                    )
-                )
+                entries.append((float(a), float(b), name,
+                                None if nstar is None else nstar / cell.category_count))
     return entries
 
 

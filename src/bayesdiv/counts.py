@@ -9,6 +9,7 @@ one sample only needs computing once per level, not once per row.
 """
 
 import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -162,8 +163,12 @@ def build_table(counts1, counts2, K):
 # cannot vouch for that, it returns None and the walker reads the file.
 
 def _read_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape keeps a byte that is not UTF-8 as U+DC80..U+DCFF; its line is named
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if bad := re.search("[\udc80-\udcff]", raw):
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text: "
+                                 f"byte 0x{ord(bad.group()) - 0xDC00:02x}")
             line = raw.strip()
             if not line:
                 continue
@@ -250,7 +255,7 @@ def _bulk_read(path, tsv):
     """Read a count file with numpy's C reader -> what _walk returns, or
     None where only the walker can decide."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
         comments = _comment_lines(text)
         if comments is None or "\0" in text:   # a str array drops trailing NULs
@@ -265,7 +270,7 @@ def _bulk_read(path, tsv):
             warnings.simplefilter("error")
             rows = np.loadtxt(path, dtype=object if tsv else np.int64,
                               delimiter="\t" if tsv else ",", comments="#",
-                              ndmin=2, encoding="utf-8")
+                              ndmin=2, encoding="utf-8-sig")
         if rows.shape[1] != 2 or (not tsv and rows.min() < 0):
             return None
         keys, counts = rows[:, 0], rows[:, 1]

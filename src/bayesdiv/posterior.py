@@ -6,11 +6,14 @@ below are over the product posterior Dir(n + alpha) x Dir(m + beta) at
 *fixed* hyperparameters; mixing over (alpha, beta) happens in
 ``bayesdiv.estimators``.
 
-Each quantity is computed once, by a ``*_grid`` evaluator vectorized over
-hyperparameter vectors (shape conventions: alphas (A,), betas (B,) ->
-grid (A, B)); the scalar contract functions evaluate it at one point.
-The grid forms factor every double sum into per-axis pieces combined by
-matrix products, so whole quadrature grids cost a few BLAS calls.
+Each quantity is computed once, by an evaluator vectorized over
+hyperparameter vectors (alphas (A,), betas (B,) -> grids (A, B)); the
+scalar contract functions evaluate it at one point.  One evaluator,
+``kl_moment_grids``, serves both moments of D_KL: the mean is read off
+the difference that the second moment squares, and ``dkl_grid`` and
+``dkl_squared_grid`` are its views.  The grid forms factor every double
+sum into per-axis pieces combined by matrix products, so whole
+quadrature grids cost a few BLAS calls.
 
 A row term depends on the first sample only through n and on the second
 only through m, so every special function is evaluated on one sample's
@@ -189,21 +192,6 @@ def entropy_grid(table, alphas, which_sample=1):
     return s @ levels.nu.astype(float)
 
 
-def dkl_grid(table, alphas, betas):
-    """Posterior mean KL divergence <D(q||t)> on the (alphas, betas) grid."""
-    _, x, X, n_levels, y, Y, m_levels = _params(table, alphas, betas)
-    i, j = n_levels.index, m_levels.index
-    w = table.nu * x.take(i, axis=1) / X[:, None]                 # (A, U)
-    cross = delta_psi(Y[:, None], y).take(j, axis=1)              # (B, U)
-    ent = delta_psi(X[:, None] + 1.0, x + 1.0).take(i, axis=1)    # (A, U)
-    return w @ cross.T - (w * ent).sum(axis=1)[:, None]
-
-
-def posterior_dkl(table, hp):
-    """Posterior mean of D_KL(q||t) at fixed hyperparameters."""
-    return _at_hp(dkl_grid, table, hp)
-
-
 def hellinger_sq_grid(table, alphas, betas):
     """Posterior mean squared Hellinger distance on the grid."""
     _, x, X, n_levels, y, Y, m_levels = _params(table, alphas, betas)
@@ -225,10 +213,10 @@ def posterior_hellinger_sq(table, hp):
     return _at_hp(hellinger_sq_grid, table, hp)
 
 
-# --- second moment of DKL -------------------------------------------------
+# --- the two moments of DKL -----------------------------------------------
 
-def dkl_squared_grid(table, alphas, betas):
-    """<D_KL^2> on the (alphas, betas) grid.
+def kl_moment_grids(table, alphas, betas):
+    """<D_KL> and <D_KL^2> on the (alphas, betas) grid, from one pass.
 
     With X = N + K alpha, Y = M + K beta, x_i = n_i + alpha, y_i = m_i +
     beta, p_i = psi(x_i+1) - psi(X+2) and t_i = psi(y_i) - psi(Y), the
@@ -238,7 +226,8 @@ def dkl_squared_grid(table, alphas, betas):
                        - x_i (p_i - t_i)^2 + (x_i+1)(psi_1(x_i+2) + psi_1(y_i))]
                        - X(X+1) (psi_1(X+2) + psi_1(Y))
 
-    with d = sum_i x_i (p_i - t_i).  Since x_i = n_i + alpha is affine in
+    with d = sum_i x_i (p_i - t_i).  As psi(X+2) = psi(X+1) + 1/(X+1), the
+    same d gives <D> = d/X + 1/(X+1).  With x_i = n_i + alpha affine in
     alpha, d is an alpha row less an alpha-affine beta column; expanding
     the single sum in powers of t_i leaves an alpha row and three
     (A,U)x(U,B) matrix products.  p and t are both shifted by ln K, which
@@ -263,6 +252,8 @@ def dkl_squared_grid(table, alphas, betas):
     out = np.multiply.outer(alphas, t @ nu)
     out += t @ (nu * table.n)
     np.subtract((nx * p).sum(axis=1)[:, None], out, out=out)
+    mean = out / X[:, None]
+    mean += (1.0 / (X + 1.0))[:, None]
     out *= out
     out /= XX1[:, None]
     row = nx * (p * p + 2.0 * p + 1.0 / (x + 1.0) + (x + 1.0) * psi1)
@@ -272,7 +263,22 @@ def dkl_squared_grid(table, alphas, betas):
     out += (-2.0 * w * (p + 1.0)) @ t.T
     out += w @ t2.T
     out += (w * (x + 1.0)) @ trigamma(y).take(j, axis=1).T
-    return out
+    return mean, out
+
+
+def dkl_grid(table, alphas, betas):
+    """Posterior mean KL divergence <D(q||t)> on the (alphas, betas) grid."""
+    return kl_moment_grids(table, alphas, betas)[0]
+
+
+def posterior_dkl(table, hp):
+    """Posterior mean of D_KL(q||t) at fixed hyperparameters."""
+    return _at_hp(dkl_grid, table, hp)
+
+
+def dkl_squared_grid(table, alphas, betas):
+    """<D_KL^2> on the (alphas, betas) grid."""
+    return kl_moment_grids(table, alphas, betas)[1]
 
 
 def posterior_dkl_squared(table, hp):

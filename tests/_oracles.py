@@ -3,12 +3,14 @@
 Everything here is deliberately slow and literal: direct series, brute
 force sums over expanded category vectors, and Monte-Carlo posterior
 averages.  Test expectations come from these, never from the library
-code under test.
+code under test.  The random instances the tests share are drawn here
+too.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def zhang_series(n, m):
@@ -49,6 +51,19 @@ def random_count_pair(rng, max_k=10, max_count=15, min_n=0):
     if m.sum() == 0:
         m[int(rng.integers(0, K))] = 1
     return n, m, K
+
+
+@st.composite
+def wide_tables(draw):
+    """K from 2 to 1e7, at most 40 listed categories with counts up to
+    1e12; either sample may be empty."""
+    from bayesdiv.counts import build_table
+
+    K = draw(st.sampled_from([2, 3, 10, 400, 10**4, 10**7]))
+    listed = draw(st.integers(0, min(K, 40)))
+    sample = st.lists(st.integers(0, 10**12), min_size=listed, max_size=listed)
+    sample |= st.just([0] * listed)
+    return build_table(draw(sample), draw(sample), K)
 
 
 def posterior_mc(n, m, K, alpha, beta, draws, seed):
@@ -277,12 +292,7 @@ def whole_box_mixture(table, kind, nodes=2049, rows=128):
         log_weight_kl,
         prior_entropy_slope,
     )
-    from bayesdiv.posterior import (
-        dkl_grid,
-        dkl_squared_grid,
-        entropy_grid,
-        hellinger_sq_grid,
-    )
+    from bayesdiv.posterior import entropy_grid, hellinger_sq_grid, kl_moment_grids
 
     u = np.linspace(math.log(1e-6), math.log(1e6), nodes)
     a = np.exp(u)
@@ -305,8 +315,9 @@ def whole_box_mixture(table, kind, nodes=2049, rows=128):
     for lo in range(0, nodes, rows):
         block = slice(lo, lo + rows)
         if kind == "kl":
-            first += float((w[block] * dkl_grid(table, a[block], a)).sum())
-            second += float((w[block] * dkl_squared_grid(table, a[block], a)).sum())
+            mean, square = kl_moment_grids(table, a[block], a)
+            first += float((w[block] * mean).sum())
+            second += float((w[block] * square).sum())
         else:
             first += float((w[block] * hellinger_sq_grid(table, a[block], a)).sum())
     total = float(w.sum())

@@ -66,7 +66,7 @@ _CHECKED = {
     **{f"posterior.{fn}[{side}]": (
         lambda v, fn=fn, side=side: getattr(posterior, fn)(
             _TABLE, *((v, [1.0]) if side == "alphas" else ([1.0], v))))
-       for fn in ("dkl_grid", "dkl_squared_grid", "hellinger_sq_grid")
+       for fn in ("dkl_grid", "dkl_squared_grid", "kl_moment_grids", "hellinger_sq_grid")
        for side in ("alphas", "betas")},
     "hyperprior.prior_entropy_slope": lambda v: hyperprior.prior_entropy_slope(v, 4),
     "hyperprior.prior_crossentropy_slope": lambda v: hyperprior.prior_crossentropy_slope(v, 4),

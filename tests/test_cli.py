@@ -135,6 +135,14 @@ def test_estimate_count_past_int64_exits_2_naming_the_line(tmp_path, capsys, for
 
 
 
+def test_estimate_file_that_is_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "pair.csv"
+    path.write_bytes(b"3,1\n\xff0,2\n1,0\n")
+    code = main(["estimate", str(path), "--estimator", "naive"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text: byte 0xff\n"
+
+
 def test_estimate_k_disagreeing_with_the_k_header_exits_2(tmp_path, capsys):
     f1 = _tsv(tmp_path, "a.tsv", [5, 3], k=4)
     f2 = _tsv(tmp_path, "b.tsv", [4, 4])

@@ -597,6 +597,45 @@ def test_a_bad_line_deep_in_a_wide_file_is_named(tmp_path, monkeypatch, layout, 
     assert handed == [True]
 
 
+# --- encodings ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("extra", [[], ["  # a comment after spaces"]],
+                         ids=["bulk reader", "line walker"])
+@pytest.mark.parametrize("layout", ["tsv", "csv"])
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, monkeypatch, layout, extra):
+    # some Windows editors begin a UTF-8 file with U+FEFF
+    def files(bom, name):
+        if layout == "csv":
+            return [_write_lines(tmp_path, f"{name}.csv", [bom + "3,1", "0,2", *extra, "1,0"])]
+        return [_write_lines(tmp_path, f"{name}.tsv", [bom + "#K=3", "a\t1", *extra]),
+                _write_lines(tmp_path, "b.tsv", ["b\t2"])]
+
+    plain = load_count_files(*files("", "plain"))
+    handed = []
+    bulk = counts_module._bulk_read
+
+    def bulk_read(*args):
+        parsed = bulk(*args)
+        handed.append(parsed is None)
+        return parsed
+
+    monkeypatch.setattr(counts_module, "_bulk_read", bulk_read)
+    table = load_count_files(*files("\ufeff", "bom"))
+    assert (_rows(table), table.K) == (_rows(plain), plain.K)
+    assert handed[0] == bool(extra)   # the file with the mark took the named route
+
+
+@pytest.mark.parametrize("layout", ["tsv", "csv"])
+def test_a_byte_that_is_not_utf8_is_named_with_its_line(tmp_path, layout):
+    lines = [b"#K=3", b"a\t1", b"\xffb\t2"] if layout == "tsv" else [b"3,1", b"\xff0,2", b"1,0"]
+    path = tmp_path / f"bad.{layout}"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    other = [_write_lines(tmp_path, "b.tsv", ["b\t2"])] if layout == "tsv" else []
+    with pytest.raises(ValueError) as exc:
+        load_count_files(str(path), *other)
+    assert str(exc.value) == f"{path}:{3 if layout == 'tsv' else 2}: not UTF-8 text: byte 0xff"
+
+
 # --- K, empty files, and nothing left behind -------------------------------------
 
 def test_load_tsv_k_must_match_the_header(tmp_path):

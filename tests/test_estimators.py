@@ -42,6 +42,7 @@ from _oracles import (
     random_count_pair,
     uniform_chain,
     whole_box_mixture,
+    wide_tables,
     zhang_series,
 )
 
@@ -414,19 +415,8 @@ def test_hellinger_dpm_symmetric_under_sample_swap(pair):
         assert forward == backward, name
 
 
-@st.composite
-def _wide_tables(draw):
-    """K from 2 to 1e7, at most 40 listed categories with counts up to
-    1e12; either sample may be empty."""
-    K = draw(st.sampled_from([2, 3, 10, 400, 10**4, 10**7]))
-    listed = draw(st.integers(0, min(K, 40)))
-    sample = st.lists(st.integers(0, 10**12), min_size=listed, max_size=listed)
-    sample |= st.just([0] * listed)
-    return build_table(draw(sample), draw(sample), K)
-
-
 @settings(max_examples=25, deadline=None)
-@given(_wide_tables())
+@given(wide_tables())
 def test_bayesian_estimates_lie_in_their_range(table):
     for name in ("dp", "dpm"):
         for divergence in ("kl", "hellinger2"):
@@ -456,7 +446,7 @@ def test_front_ends_call_their_own_hyper_prior_and_grids(monkeypatch):
     # the benchmark's tracer rebinds these module names; each front-end
     # must look its own up when called
     names = ("log_weight_kl", "log_weight_hellinger", "dkl_grid",
-             "dkl_squared_grid", "hellinger_sq_grid")
+             "dkl_squared_grid", "kl_moment_grids", "hellinger_sq_grid")
     called = set()
     for name in names:
         def counted(*args, _fn=getattr(estimators, name), _name=name):
@@ -465,7 +455,7 @@ def test_front_ends_call_their_own_hyper_prior_and_grids(monkeypatch):
         monkeypatch.setattr(estimators, name, counted)
     table = build_table([3, 1, 0, 2], [1, 1, 2, 0], 4)
     for front_end, own in (
-        (estimate_dkl_dpm, {"log_weight_kl", "dkl_grid", "dkl_squared_grid"}),
+        (estimate_dkl_dpm, {"log_weight_kl", "kl_moment_grids"}),
         (estimate_hellinger_dpm, {"log_weight_hellinger", "hellinger_sq_grid"}),
         (estimate_dkl_dp, {"dkl_grid"}),
         (estimate_hellinger_dp, {"hellinger_sq_grid"}),

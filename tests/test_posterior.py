@@ -16,6 +16,7 @@ from bayesdiv.posterior import (
     dkl_squared_grid,
     entropy_grid,
     hellinger_sq_grid,
+    kl_moment_grids,
     log_evidence,
     log_evidence_curvature,
     log_evidence_grid,
@@ -26,6 +27,7 @@ from bayesdiv.posterior import (
     prior_mean_crossentropy,
     prior_mean_entropy,
 )
+from bayesdiv.synth import sample_dirichlet, sample_multinomial
 
 from _oracles import (
     dkl_squared_pairwise,
@@ -35,11 +37,16 @@ from _oracles import (
     kl_moments_mpmath,
     posterior_mc,
     random_count_pair,
+    wide_tables,
 )
 
 
 def _hp(alpha, beta, K):
     return HyperParams(alpha=alpha, beta=beta, K=K)
+
+
+# the 33 nodes per axis of the first whole-box scan
+_BOX_NODES = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 33))
 
 
 # --- hyperparameters ---------------------------------------------------------
@@ -190,6 +197,13 @@ def test_posterior_dkl_nonnegative_on_random_instances():
         assert value >= 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(wide_tables())
+def test_posterior_dkl_nonnegative_on_wide_tables(table):
+    mean, _ = kl_moment_grids(table, _BOX_NODES, _BOX_NODES)
+    assert (mean >= 0.0).all()
+
+
 def test_posterior_dkl_is_asymmetric():
     table = build_table([6, 1, 0], [0, 2, 4], 3)
     forward = posterior_dkl(table, _hp(0.5, 2.0, 3))
@@ -260,6 +274,13 @@ def test_posterior_variance_is_nonnegative():
         second = posterior_dkl_squared(table, hp)
         first = posterior_dkl(table, hp)
         assert second - first * first >= -1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_tables())
+def test_posterior_variance_is_nonnegative_on_wide_tables(table):
+    mean, second = kl_moment_grids(table, _BOX_NODES, _BOX_NODES)
+    assert (second >= mean * mean).all()
 
 
 # --- Hellinger and entropy -------------------------------------------------------
@@ -389,6 +410,19 @@ def test_kl_second_moment_keeps_its_digits_at_large_concentrations():
         assert second == pytest.approx(want_second, rel=tol_second, abs=0), (a, b)
         want_var = want_second - want_first * want_first
         assert second - first * first == pytest.approx(want_var, rel=tol_var, abs=0), (a, b)
+
+
+def test_kl_mean_keeps_its_digits_at_the_box_edge():
+    # at the box edge alpha = beta = 1e6, <D> is far below the ln K-sized
+    # sums behind it; dp KL lands there on the K=1e4, N=25 draw
+    for K, size, seed in ((10_000, 25, 5), (400, 4000, 3)):
+        rng = np.random.default_rng(seed)
+        q, t = sample_dirichlet(K, 1.0, rng), sample_dirichlet(K, 1.0, rng)
+        table = build_table(sample_multinomial(q, size, rng),
+                            sample_multinomial(t, size, rng), K)
+        want, _ = kl_moments_mpmath(table, 1e6, 1e6)
+        got = dkl_grid(table, [1e6], [1e6])[0, 0]
+        assert got == pytest.approx(want, rel=1e-9, abs=0), (K, size)
 
 
 # --- grid versions agree with scalar loops ------------------------------------------
