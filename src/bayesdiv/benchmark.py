@@ -12,12 +12,19 @@ independent child seeds, rows are sorted before writing, and worker
 pools only change where the work runs, not its result.  Each pool
 worker runs its BLAS on one thread, so that workers x BLAS threads do
 not oversubscribe the cores.
+
+A process keeps one worker pool, forked by its first run with workers > 1
+and reused by every later run with the same worker count, so the cells
+of an N* grid pay for the fork once.  A run with another count replaces
+the pool, a broken pool is dropped, and interpreter exit joins the
+workers.  Workers see the package as it was when they were forked.
 """
 
 import csv
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -201,6 +208,27 @@ def _pool(workers):
     return ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread)
 
 
+_shared = None   # (workers, pool) of this process, or None before the first run
+
+
+def _shared_pool(workers):
+    """This process's pool of `workers` workers; replaces one of another size."""
+    global _shared
+    if _shared is not None and _shared[0] != workers:
+        _drop_pool()
+    if _shared is None:
+        _shared = (workers, _pool(workers))
+    return _shared[1]
+
+
+def _drop_pool():
+    """Shut the shared pool down and forget it; the next run forks afresh."""
+    global _shared
+    if _shared is not None:
+        pool, _shared = _shared[1], None
+        pool.shutdown(wait=True)
+
+
 def run_convergence(config):
     """Run the full ladder x repetition grid; returns sorted rows."""
     root = np.random.SeedSequence(config.master_seed)
@@ -215,8 +243,11 @@ def run_convergence(config):
         ]
     tasks = [(config, chain_laws, rep, seed) for rep, seed in enumerate(rep_seeds)]
     if config.workers > 1:
-        with _pool(config.workers) as pool:
-            chunks = list(pool.map(_rep_rows, *zip(*tasks)))
+        try:
+            chunks = list(_shared_pool(config.workers).map(_rep_rows, *zip(*tasks)))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     else:
         chunks = [_rep_rows(*task) for task in tasks]
     rows = [row for chunk in chunks for row in chunk]

@@ -2,7 +2,14 @@
 
 import csv
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +188,7 @@ def test_pool_workers_run_blas_on_one_thread():
         assert any("numpy" in name for name in names), names
     with benchmark._pool(2) as pool:
         counts = pool.submit(_blas_threads).result()
+    counts += benchmark._shared_pool(2).submit(_blas_threads).result()
     assert all(count == 1 for count in counts)
 
 
@@ -188,6 +196,59 @@ def test_run_convergence_keeps_the_callers_blas_threads():
     before = _blas_threads()
     run_convergence(replace(SMALL, workers=2))
     assert _blas_threads() == before
+
+
+def test_runs_with_one_worker_count_share_one_pool():
+    run_convergence(replace(SMALL, workers=2))
+    pool = benchmark._shared_pool(2)
+    run_convergence(replace(SMALL, workers=2))
+    assert benchmark._shared_pool(2) is pool
+    run_convergence(replace(SMALL, workers=3))   # shuts the 2-worker pool down
+    with pytest.raises(RuntimeError, match="shutdown"):
+        pool.submit(int)
+
+
+def test_a_broken_pool_raises_once_and_is_forked_afresh():
+    run_convergence(replace(SMALL, workers=2))
+    pool = benchmark._shared_pool(2)
+    victim = next(iter(pool._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=30)
+    assert not victim.is_alive()
+    with pytest.raises(BrokenProcessPool):
+        run_convergence(replace(SMALL, workers=2))
+    assert benchmark._shared is None
+    assert run_convergence(replace(SMALL, workers=2)) == run_convergence(SMALL)
+    assert benchmark._shared_pool(2) is not pool
+
+
+def test_no_pool_worker_outlives_the_process():
+    script = (
+        "from bayesdiv import benchmark\n"
+        "from bayesdiv.benchmark import ExperimentConfig, run_convergence\n"
+        "run_convergence(ExperimentConfig(K=8, size_ladder=(10,), repetitions=2,\n"
+        "                                 estimators=('naive',), workers=2))\n"
+        "print(*benchmark._shared_pool(2)._processes)\n"
+    )
+    src = str(Path(benchmark.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5.0
+    while (alive := [pid for pid in pids if _alive(pid)]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert alive == []
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def test_nested_subsample_deterministic():

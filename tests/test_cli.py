@@ -232,13 +232,19 @@ def test_convergence_underflowing_truth_exits_2(tmp_path, capsys):
 
 
 def test_rejection_inside_a_worker_exits_3(tmp_path, capsys, monkeypatch):
-    # forked pool workers inherit the patched front-end
+    # pool workers forked after the patch inherit the patched front-end;
+    # the shared pool is dropped before the run so that its workers are
+    # forked afresh, and after it so that no later run reuses them
     def reject(*args):
         raise ValueError("rejected in a worker")
 
     monkeypatch.setattr(bayesdiv.estimators, "estimate_dkl_plugin", reject)
-    code = main(["convergence", *CONV_FLAGS, "--workers", "2",
-                 "--out", str(tmp_path / "x.csv")])
+    benchmark._drop_pool()
+    try:
+        code = main(["convergence", *CONV_FLAGS, "--workers", "2",
+                     "--out", str(tmp_path / "x.csv")])
+    finally:
+        benchmark._drop_pool()
     assert code == 3
     assert "rejected in a worker" in capsys.readouterr().err
 
@@ -370,6 +376,17 @@ def test_nstar_grid_csv(tmp_path, capsys):
     assert lines[0] == "alpha_true,beta_true,estimator,nstar_over_k"
     assert len(lines) == 1 + 1 * 2 * 2
     assert lines[1].startswith("1.0,1.0,jeffreys,")
+
+
+def test_nstar_workers_flag_does_not_change_output(tmp_path, capsys):
+    # every cell of the grid reuses the one shared pool
+    flags = ["nstar", "--k", "6", "--ladder", "20,40", "--reps", "3",
+             "--estimator", "dpm,naive", "--alpha", "0.5,2.0", "--beta", "1.0,4.0",
+             "--seed", "7"]
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([*flags, "--out", str(out_a)]) == 0
+    assert main([*flags, "--workers", "2", "--out", str(out_b)]) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
 
 
 def test_nstar_requires_out(capsys):

@@ -425,6 +425,26 @@ def test_kl_mean_keeps_its_digits_at_the_box_edge():
         assert got == pytest.approx(want, rel=1e-9, abs=0), (K, size)
 
 
+@pytest.mark.parametrize("K, N", [(400, 25), (13, 60), (10_000, 100_000)])
+def test_dkl_grid_is_the_first_moment_bit_for_bit(K, N):
+    table = _moment_table(K, N)
+    alphas, betas = [1e-6, 0.3, 1.0, 1e6], [2e-6, 1.3, 130.0]
+    assert np.array_equal(dkl_grid(table, alphas, betas),
+                          kl_moment_grids(table, alphas, betas)[0])
+
+
+def test_dkl_grid_runs_no_trigamma(monkeypatch):
+    # the mean stops at the difference d; trigamma only enters <D^2>
+    from bayesdiv import posterior
+
+    def no_trigamma(*args):
+        raise AssertionError("dkl_grid evaluated trigamma")
+
+    table = _moment_table(400, 25)
+    want = kl_moment_grids(table, [0.5, 2.0], [1.0])[0]
+    monkeypatch.setattr(posterior, "trigamma", no_trigamma)
+    assert np.array_equal(dkl_grid(table, [0.5, 2.0], [1.0]), want)
+
 # --- grid versions agree with scalar loops ------------------------------------------
 
 def test_grids_match_scalar_evaluations():
