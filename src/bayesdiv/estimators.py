@@ -10,6 +10,7 @@ Bayesian routes:
   [1e-6, 1e6]^2 in (ln alpha, ln beta).  A coarse scan finds where the
   weight lies; end-corrected trapezoid (Gregory) grids over that window
   are doubled until they agree with their every-other-node subgrid.
+  Each level is evaluated tile by tile, so its memory stays bounded.
 
 Baselines: pseudo-count plugins (naive / jeffreys / trybula / perks), the
 bias-corrected Z estimator for KL, and the evidence-mixture entropy
@@ -18,6 +19,7 @@ in one dimension.  ``estimate`` dispatches on estimator and divergence
 names.
 """
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -71,6 +73,7 @@ _SCAN_DEPTH = 30.0    # a scan keeps the nodes within e^-30 of its maximum
 _MAX_SCANS = 40       # an unfilled window shrinks to at most 17/32 per rescan
 _FIRST_NODES = 33     # per axis, on the first quadrature level
 _MAX_NODES = 1025     # per axis, on the last level allowed
+_TILE_NODES = 256     # per axis, a tile of a level spans at most this + 1 nodes
 _QUAD_TOL = 1e-6      # relative agreement of a level with its subgrid
 _DP_TOL = 1e-12       # bracket width in ln alpha of a dp evidence maximum
 _GREGORY_ENDS = np.array([3 / 8, 7 / 6, 23 / 24])   # end-node weights, in steps
@@ -155,46 +158,99 @@ def _scan(log_weight, dims):
     return window, stars, float(log_w[peak]), edges
 
 
-def _gregory_weights(log_w):
-    """Normalized end-corrected trapezoid weights of a log-weight grid.
+def _gregory_ends(nodes):
+    """Node weights, in steps, of Gregory's rule on an axis of ``nodes`` >= 3.
 
-    Gregory's rule, for even steps and at least 6 nodes per axis: the
-    three nodes at each end of an axis take 3/8, 7/6 and 23/24 of a step.
-    Where the weight does not vanish at the window's ends, as on a
-    posterior that reaches the box edge, it errs by O(h^4), the trapezoid
-    by O(h^2).  All weights are positive: averages stay in a grid's range.
+    The end-corrected trapezoid: the three nodes at each end take 3/8,
+    7/6 and 23/24 of a step, every other node one step.  For even steps
+    and at least 6 nodes, where the weight does not vanish at the
+    window's ends, as on a posterior that reaches the box edge, it errs
+    by O(h^4), the trapezoid by O(h^2).  All weights are positive:
+    averages stay in a grid's range.
     """
-    w = log_w - log_w.max()
-    np.exp(w, out=w)
-    ends = _GREGORY_ENDS.reshape((3,) + (1,) * (w.ndim - 1))
-    for k in range(w.ndim):
-        face = np.moveaxis(w, k, 0)
-        face[:3] *= ends
-        face[-3:] *= ends[::-1]
-    w /= w.sum()
-    return w
+    ends = np.ones(nodes)
+    ends[:3] *= _GREGORY_ENDS
+    ends[-3:] *= _GREGORY_ENDS[::-1]
+    return ends
 
 
-def _mixture_average(w, grids):
-    """Averages sum(w * grid) under normalized weights ``w``."""
-    return [float((w * g).sum()) for g in grids]
+def _axis_rules(u):
+    """Per-node weights of one axis ``u`` of a level.
 
-
-def _edge_mass(w, axes):
-    """Share of the weights ``w`` on nodes within one scan step of the box edge.
-
-    ``w`` is normalized, as from _gregory_weights.  A scan step,
-    (_LOG_HI - _LOG_LO) / (_SCAN_NODES - 1) in ln alpha or ln beta, is a
-    fixed width, so the share does not shrink as the quadrature refines
-    its nodes.
+    Gregory's rule on every node, the same rule on the every-other-node
+    subgrid (0 between its nodes), and whether a node lies within one
+    scan step of the box edge.  A scan step, (_LOG_HI - _LOG_LO) /
+    (_SCAN_NODES - 1) in ln alpha or ln beta, is a fixed width, so the
+    weight's share near the edge does not shrink as the levels refine.
     """
+    coarse = np.zeros(len(u))
+    coarse[::2] = _gregory_ends(len(coarse[::2]))
     step = (_LOG_HI - _LOG_LO) / (_SCAN_NODES - 1)
-    near = np.zeros(w.shape, dtype=bool)
-    for k, u in enumerate(axes):
-        shape = [1] * w.ndim
-        shape[k] = len(u)
-        near |= ((u <= _LOG_LO + step) | (u >= _LOG_HI - step)).reshape(shape)
-    return float(w[near].sum())
+    return _gregory_ends(len(u)), coarse, (u <= _LOG_LO + step) | (u >= _LOG_HI - step)
+
+
+def _tiles(nodes):
+    """Slices of at most _TILE_NODES + 1 nodes that cover an axis of ``nodes``.
+
+    Each slice starts on an even node, so its every-other-node part lies
+    on the subgrid of the whole axis.
+    """
+    count = max(1, -(-(nodes - 1) // _TILE_NODES))
+    cuts = [2 * ((nodes - 1) * k // (2 * count)) for k in range(count)] + [nodes]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _contract(grid, vectors):
+    """The sum over all nodes of ``grid`` times one weight vector per axis."""
+    for v in reversed(vectors):
+        grid = grid @ v
+    return float(grid)
+
+
+def _tile_sums(w, grids, fine, coarse, near):
+    """Weighted sums of one tile with weights ``w``, for ``_level_averages``.
+
+    The total weight by each rule, the weight on nodes near the box edge
+    on some axis, then each grid's weighted sum by each rule.  The grids
+    are overwritten.
+    """
+    sums = [_contract(w, fine), _contract(w, coarse), 0.0]
+    for k in range(len(fine)):   # near on axis k, not near on any before it
+        vectors = [f * ~n for f, n in zip(fine[:k], near[:k])]
+        sums[2] += _contract(w, vectors + [fine[k] * near[k], *fine[k + 1:]])
+    for g in grids:
+        g *= w
+        sums += [_contract(g, fine), _contract(g, coarse)]
+    return sums
+
+
+def _level_averages(log_weight, moments, axes):
+    """Posterior averages of ``moments`` on the nodes of one level.
+
+    Returns the Gregory averages of each moment grid on all nodes of
+    ``axes`` and on their every-other-node subgrid, and the share of the
+    weight within one scan step of the box edge.  ``log_weight`` and
+    ``moments`` are evaluated on tiles of at most _TILE_NODES + 1 nodes
+    per axis, so a level's working memory stays that of one tile however
+    many nodes it has.  Both return new arrays, which this overwrites.
+    Each tile's sums are taken against its own largest log weight and
+    rescaled to the level's largest at the end, so no average depends on
+    a shift of the log weight.
+    """
+    rules = [_axis_rules(u) for u in axes]
+    tops, sums = [], []
+    for tile in itertools.product(*(_tiles(len(u)) for u in axes)):
+        args = [u[s] for u, s in zip(axes, tile)]
+        fine, coarse, near = zip(*[[r[s] for r in rule] for rule, s in zip(rules, tile)])
+        w = log_weight(*args)
+        tops.append(w.max())
+        w -= tops[-1]
+        np.exp(w, out=w)
+        sums.append(_tile_sums(w, moments(*args), fine, coarse, near))
+    scale = np.exp(np.array(tops) - max(tops))
+    fine_w, coarse_w, edge, *grid_sums = scale @ np.array(sums)
+    return ([s / fine_w for s in grid_sums[::2]],
+            [s / coarse_w for s in grid_sums[1::2]], edge / fine_w)
 
 
 def _quadrature(log_weight, moments, dims, names=("alpha", "beta")):
@@ -215,19 +271,13 @@ def _quadrature(log_weight, moments, dims, names=("alpha", "beta")):
     nodes = _FIRST_NODES
     while True:
         axes = [np.linspace(lo, hi, nodes) for lo, hi in window]
-        log_w = log_weight(*axes)
-        grids = moments(*axes)
-        half = (slice(None, None, 2),) * dims
-        w = _gregory_weights(log_w)
-        fine = _mixture_average(w, grids)
-        coarse = _mixture_average(_gregory_weights(log_w[half]),
-                                  [g[half] for g in grids])
+        fine, coarse, edge_mass = _level_averages(log_weight, moments, axes)
         converged = all(abs(f - c) <= _QUAD_TOL * abs(f)
                         for f, c in zip(fine, coarse))
         if converged or nodes >= _MAX_NODES:
             break
         nodes = 2 * nodes - 1
-    diag = {"log_evidence_at_max": top, "edge_mass": _edge_mass(w, axes),
+    diag = {"log_evidence_at_max": top, "edge_mass": edge_mass,
             "converged": converged}
     for name, star, edge in sorted(zip(names, stars, edges)):   # alpha first
         diag[f"{name}_star"] = star

@@ -22,7 +22,8 @@ def check_positive(x, name):
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # a nan makes the minimum nan, an infinity the maximum or minimum infinite
+    if not (arr.min() > 0.0 and arr.max() < np.inf):
         raise ValueError(f"{name} must be finite and strictly positive")
     return arr
 
@@ -35,7 +36,7 @@ def float_if_scalar(out, *args):
 def trigamma(x):
     """psi_1(x) = d^2/dx^2 ln Gamma(x) for x > 0."""
     arr = check_positive(x, "x")
-    out = _sp.polygamma(1, arr)
+    out = _sp.zeta(2.0, arr)   # psi_1(x) = zeta(2, x), polygamma(1, x) without its digamma
     return float_if_scalar(out, x)
 
 
@@ -72,6 +73,25 @@ def log_half_ratio(x):
 # arguments its truncation stays near 2e-16 relative there.
 
 _RAISE_TO = 18.0
+_CHUNK = 2048   # elements per pass of the recurrence, which holds (18, _CHUNK) terms
+
+
+def _recurrence(big, small, gap, steps):
+    """sum over k < steps of gap / ((big + k)(small + k)), elementwise, 1-d.
+
+    The terms of every k are formed at once, _CHUNK elements at a time,
+    and each element's terms are added in k order from zero, so the sum
+    is the one a loop over k would make.
+    """
+    out = np.zeros_like(small)
+    k = np.arange(steps.max())[:, None]
+    for lo in range(0, len(small), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        terms = gap[part] / ((big[part] + k) * (small[part] + k))
+        terms *= k < steps[part]   # an element's steps beyond its own add 0
+        for row in terms:
+            out[part] += row
+    return out
 
 
 def _delta_psi_kernel(big, small, gap):
@@ -80,12 +100,7 @@ def _delta_psi_kernel(big, small, gap):
     acc = np.zeros_like(small)
     low = steps > 0.0   # the recurrence runs on these elements only
     if low.any():
-        low_big, low_small, low_gap, low_steps = big[low], small[low], gap[low], steps[low]
-        part = np.zeros_like(low_small)
-        for k in range(int(low_steps.max())):
-            term = low_gap / ((low_big + k) * (low_small + k))
-            np.add(part, term, out=part, where=k < low_steps)
-        acc[low] = part
+        acc[low] = _recurrence(big[low], small[low], gap[low], steps[low])
     a, b, d = big + steps, small + steps, gap
     ab = a * b
     a2, b2 = a * a, b * b

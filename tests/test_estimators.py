@@ -1,6 +1,7 @@
 """Estimator front-ends: plugins, Z, DP/DPM quadrature, NSB entropy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from bayesdiv.estimators import (
     PLUGIN_SCHEMES,
     EstimatorError,
     _dpm_log_weight,
-    _edge_mass,
-    _gregory_weights,
-    _mixture_average,
+    _level_averages,
     _scan,
     _pseudo_counts,
     estimate,
@@ -29,7 +28,14 @@ from bayesdiv.estimators import (
     maximize_log_posterior,
 )
 from bayesdiv.hyperprior import log_weight_kl
-from bayesdiv.posterior import HyperParams, log_evidence_gradient, posterior_dkl
+from bayesdiv.posterior import (
+    HyperParams,
+    entropy_grid,
+    kl_moment_grids,
+    log_evidence_grid,
+    log_evidence_gradient,
+    posterior_dkl,
+)
 from bayesdiv.specfun import delta_psi
 from bayesdiv.synth import (
     sample_dirichlet,
@@ -228,14 +234,23 @@ def test_maximize_rejects_unknown_weight():
 
 # --- DPM quadrature ------------------------------------------------------------------
 
+def _gregory_average(log_w, grid):
+    """Average of ``grid`` under Gregory weights on all nodes of ``log_w``."""
+    def pick(array):
+        return lambda *idx: array[np.ix_(*idx)]   # a copy, as the evaluators return
+    axes = [np.arange(n) for n in log_w.shape]
+    return _level_averages(pick(log_w), lambda *idx: [pick(grid)(*idx)], axes)[0][0]
+
+
 def test_mixture_average_invariant_under_log_weight_shift():
     rng = np.random.default_rng(9)
-    log_w = rng.normal(size=(40, 30))
-    grids = [rng.uniform(1, 2, size=(40, 30))]
-    base = _mixture_average(_gregory_weights(log_w), grids)[0]
-    for shift in (-700.0, -3.2, 250.0):
-        shifted = _mixture_average(_gregory_weights(log_w + shift), grids)[0]
-        assert shifted == pytest.approx(base, rel=1e-12, abs=0)
+    for shape in ((40, 30), (300, 270)):   # one tile, and several
+        log_w = rng.normal(size=shape)
+        grid = rng.uniform(1, 2, size=shape)
+        base = _gregory_average(log_w, grid)
+        for shift in (-700.0, -3.2, 250.0):
+            shifted = _gregory_average(log_w + shift, grid)
+            assert shifted == pytest.approx(base, rel=1e-12, abs=0)
 
 
 def test_gregory_weights_are_fourth_order_at_the_window_ends():
@@ -245,20 +260,61 @@ def test_gregory_weights_are_fourth_order_at_the_window_ends():
     mean_u = (3.0 * e4 + 1.0) / (e4 - 1.0)
     for nodes, tol in ((33, 2.5e-5), (65, 2e-6)):
         u = np.linspace(0.0, 4.0, nodes)
-        got = _mixture_average(_gregory_weights(u), [u * u])[0]
+        got = _gregory_average(u, u * u)
         assert got == pytest.approx((10.0 * e4 - 2.0) / (e4 - 1.0), rel=tol, abs=0)
         uu, vv = np.meshgrid(u, u, indexing="ij")
-        got = _mixture_average(_gregory_weights(uu + vv), [uu * vv])[0]
+        got = _gregory_average(uu + vv, uu * vv)
         assert got == pytest.approx(mean_u * mean_u, rel=tol, abs=0)
 
 
 def test_mixture_average_stays_within_its_grid():
     rng = np.random.default_rng(21)
-    for shape in ((7,), (33,), (6, 9), (65, 33)):
+    for shape in ((7,), (33,), (6, 9), (65, 33), (300, 7)):
         log_w = rng.normal(scale=20.0, size=shape)
         grid = rng.uniform(-1.0, 1.0, size=shape)
-        avg = _mixture_average(_gregory_weights(log_w), [grid])[0]
+        avg = _gregory_average(log_w, grid)
         assert grid.min() <= avg <= grid.max()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims):
+    table = _dirichlet_table(40, 30, seed=4)[0]
+    if dims == 2:
+        log_weight = _dpm_log_weight(table, log_weight_kl)
+        grids = lambda ua, ub: kl_moment_grids(table, np.exp(ua), np.exp(ub))  # noqa: E731
+    else:
+        log_weight = lambda ua: log_evidence_grid(table, np.exp(ua), 1) + ua  # noqa: E731
+        grids = lambda ua: [entropy_grid(table, np.exp(ua), 1)]  # noqa: E731
+    seen = []
+
+    def moments(*axes):
+        seen.append([len(u) for u in axes])
+        return grids(*axes)
+
+    axes = [np.linspace(lo, hi, 65) for lo, hi in _scan(log_weight, dims)[0]]
+    whole = _level_averages(log_weight, moments, axes)
+    assert seen == [[65] * dims]
+    monkeypatch.setattr(estimators, "_TILE_NODES", 16)
+    seen.clear()
+    tiled = _level_averages(log_weight, moments, axes)
+    assert len(seen) == 4 ** dims and max(map(max, seen)) <= 17
+    for got, want in zip([*tiled[0], *tiled[1], tiled[2]], [*whole[0], *whole[1], whole[2]]):
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+def test_quadrature_memory_stays_below_one_grid_of_its_last_level():
+    # the empty table's flat posterior runs the KL quadrature to 1025^2
+    # nodes; its levels are evaluated tile by tile, so the most memory
+    # held at once stays below one 1025^2 grid of float64
+    table = build_table([], [], 400)
+    tracemalloc.start()
+    try:
+        report = estimate_dkl_dpm(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["grid_bins_alpha"] == 1025
+    assert peak < 1025 * 1025 * 8, peak
 
 
 def test_dpm_and_nsb_match_whole_box_oracle():
@@ -350,7 +406,7 @@ def test_edge_mass_does_not_shrink_with_the_node_spacing():
         shares = []
         for nodes in (513, 1025):
             axes = [np.linspace(lo, hi, nodes) for lo, hi in window]
-            shares.append(_edge_mass(_gregory_weights(log_weight(*axes)), axes))
+            shares.append(_level_averages(log_weight, lambda *axes: [], axes)[2])
         assert shares[1] == pytest.approx(shares[0], rel=0.05, abs=0), shares
         assert shares[1] > 0.01
 
