@@ -25,7 +25,7 @@ __all__ = [
 _MAX_COUNT = int(np.iinfo(np.int64).max)   # of one count and of a sample's total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Levels:
     """One sample's distinct counts over the rows of a MultiplicityTable."""
 
@@ -43,7 +43,7 @@ def _levels(counts, nu):
     return Levels(values, level_nu, index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicityTable:
     """Compressed two-sample count table over K categories.
 
@@ -53,6 +53,7 @@ class MultiplicityTable:
     ``n_levels`` and ``m_levels`` hold each sample's distinct counts,
     computed once when the table is made; row u has
     n[u] = n_levels.values[n_levels.index[u]], and likewise for m.
+    Tables, like their levels, compare and hash by identity.
     """
 
     n: np.ndarray   # first-sample counts, shape (U,)
@@ -61,8 +62,8 @@ class MultiplicityTable:
     K: int
     N: int
     M: int
-    n_levels: Levels = field(init=False, repr=False, compare=False)
-    m_levels: Levels = field(init=False, repr=False, compare=False)
+    n_levels: Levels = field(init=False, repr=False)
+    m_levels: Levels = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m, nu = self.n, self.m, self.nu

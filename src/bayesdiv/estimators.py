@@ -471,7 +471,8 @@ def estimate_hellinger_plugin(table, scheme):
     """Plugin DH^2 = 1 - sum_i sqrt(q_i t_i) from pseudo-count frequencies."""
     table, _ = _canonical_orientation(check_table(table))
     q, t = _plugin_frequencies(table, scheme)
-    return float(1.0 - np.dot(table.nu.astype(float), np.sqrt(q * t)))
+    bc = float(np.dot(table.nu.astype(float), np.sqrt(q * t)))
+    return max(0.0, 1.0 - bc)   # bc <= 1, but rounding can lift it an ulp above
 
 
 def estimate_dkl_zhang(table):

@@ -19,7 +19,8 @@ Jacobian when integrating on log-spaced grids.
 import numpy as np
 
 from .posterior import check_K, prior_mean_crossentropy, prior_mean_entropy
-from .specfun import check_positive, delta_psi, float_if_scalar, log_half_ratio, trigamma
+from .specfun import (_SERIES_FROM, _half_ratio_slope, check_positive, delta_psi,
+                      float_if_scalar, log_half_ratio, trigamma)
 
 __all__ = [
     "prior_entropy_slope",
@@ -77,25 +78,20 @@ def _log_g(x, K):
     return log_half_ratio(x) - log_half_ratio(K * x)
 
 
-def _half_ratio_slope(x):
-    # derivative of log_half_ratio's asymptotic series, for x >= 30
-    return 1 / (8 * x**2) - 1 / (64 * x**4) + 1 / (128 * x**6) - 17 / (2048 * x**8)
-
-
 def bhattacharyya_factor_log_slope(x, K):
     """d ln g / dx = dpsi(x + 1/2, x) - K dpsi(Kx + 1/2, Kx), free of cancellation.
 
     As psi(y + 1) = psi(y) + 1/y, it equals K dpsi(Kx + 1, Kx + 1/2) -
-    dpsi(x + 1, x + 1/2), used below x = 30.  From there on those terms
-    nearly cancel, and the derivative h' of log_half_ratio's series gives
-    h'(x) - K h'(Kx).
+    dpsi(x + 1, x + 1/2), used below x = _SERIES_FROM.  From there on
+    those terms nearly cancel, and the derivative h' of log_half_ratio's
+    series gives h'(x) - K h'(Kx).
     """
     xv = check_positive(x, "x")
     K = check_K(K)
-    s = np.minimum(xv, 30.0)
+    s = np.minimum(xv, _SERIES_FROM)
     near = K * delta_psi(K * s + 1.0, K * s + 0.5) - delta_psi(s + 1.0, s + 0.5)
-    b = np.maximum(xv, 30.0)
-    out = np.where(xv >= 30.0, _half_ratio_slope(b) - K * _half_ratio_slope(K * b), near)
+    b = np.maximum(xv, _SERIES_FROM)
+    out = np.where(xv >= _SERIES_FROM, _half_ratio_slope(b) - K * _half_ratio_slope(K * b), near)
     return float_if_scalar(out, x)
 
 

@@ -8,12 +8,12 @@ below are over the product posterior Dir(n + alpha) x Dir(m + beta) at
 
 Each quantity is computed once, by an evaluator vectorized over
 hyperparameter vectors (alphas (A,), betas (B,) -> grids (A, B)); the
-scalar contract functions evaluate it at one point.  Both moments of
-D_KL are built on one difference d: ``dkl_grid`` stops at the mean,
-read off d, and ``kl_moment_grids`` also squares d for the second
-moment, whose view is ``dkl_squared_grid``.  The grid forms factor
-every double sum into per-axis pieces combined by matrix products, so
-whole quadrature grids cost a few BLAS calls.
+scalar contract functions evaluate it at one point.  One evaluator,
+``kl_moment_grids``, serves both moments of D_KL: the mean is read off
+the difference that the second moment squares, and ``dkl_grid`` and
+``dkl_squared_grid`` are its views.  The grid forms factor every double
+sum into per-axis pieces combined by matrix products, so whole
+quadrature grids cost a few BLAS calls.
 
 A row term depends on the first sample only through n and on the second
 only through m, so every special function is evaluated on one sample's
@@ -215,37 +215,6 @@ def posterior_hellinger_sq(table, hp):
 
 # --- the two moments of DKL -----------------------------------------------
 
-def _kl_difference(table, alphas, x, X, n_levels, y, Y, m_levels):
-    """The difference d of ``kl_moment_grids`` on the grid, and its parts.
-
-    Takes the checked parameters of ``_params``.  Returns d (A, B); x,
-    nu x and p gathered to the rows (A, U); and t per level of the second
-    sample (B, Um).
-    """
-    i, j = n_levels.index, m_levels.index
-    nu = table.nu.astype(float)
-    K = table.K
-
-    p = (delta_psi(x + 1.0, X[:, None] + 2.0) + np.log(K)).take(i, axis=1)   # (A, U)
-    x = x.take(i, axis=1)                                                   # (A, U)
-    t = delta_psi(y, Y[:, None]) + np.log(K)                                # (B, Um)
-    tu = t.take(j, axis=1)                                                  # (B, U)
-    nx = nu[None, :] * x                            # (A, U), sums to X
-
-    # d = sum_u nu_u x_u p_u - (t . nu n + alpha t . nu), an (A, B) difference
-    d = np.multiply.outer(alphas, tu @ nu)
-    d += tu @ (nu * table.n)
-    np.subtract((nx * p).sum(axis=1)[:, None], d, out=d)
-    return d, x, nx, p, t
-
-
-def _kl_mean(d, X):
-    """<D> = d/X + 1/(X+1), as psi(X+2) = psi(X+1) + 1/(X+1)."""
-    mean = d / X[:, None]
-    mean += (1.0 / (X + 1.0))[:, None]
-    return mean
-
-
 def kl_moment_grids(table, alphas, betas):
     """<D_KL> and <D_KL^2> on the (alphas, betas) grid, from one pass.
 
@@ -265,17 +234,26 @@ def kl_moment_grids(table, alphas, betas):
     cancels in every p - t, so that near the uniform distribution the
     expanded terms stay small and lose few digits.
     """
-    params = _params(table, alphas, betas)
-    _, x, X, n_levels, y, Y, m_levels = params
+    alphas, x, X, n_levels, y, Y, m_levels = _params(table, alphas, betas)
     i, j = n_levels.index, m_levels.index
-
-    psi1 = trigamma(x + 2.0).take(i, axis=1)                                # (A, U)
-    out, x, nx, p, t = _kl_difference(table, *params)
-    t2 = (t * t).take(j, axis=1)                                            # (B, U)
-    t = t.take(j, axis=1)                                                   # (B, U)
+    nu = table.nu.astype(float)
+    K = table.K
 
     XX1 = X * (X + 1.0)
-    mean = _kl_mean(out, X)
+    p = (delta_psi(x + 1.0, X[:, None] + 2.0) + np.log(K)).take(i, axis=1)   # (A, U)
+    psi1 = trigamma(x + 2.0).take(i, axis=1)                                # (A, U)
+    x = x.take(i, axis=1)                                                   # (A, U)
+    t = delta_psi(y, Y[:, None]) + np.log(K)                                # (B, Um)
+    t2 = (t * t).take(j, axis=1)                                            # (B, U)
+    t = t.take(j, axis=1)                                                   # (B, U)
+    nx = nu[None, :] * x                            # (A, U), sums to X
+
+    # d = sum_u nu_u x_u p_u - (t . nu n + alpha t . nu), an (A, B) difference
+    out = np.multiply.outer(alphas, t @ nu)
+    out += t @ (nu * table.n)
+    np.subtract((nx * p).sum(axis=1)[:, None], out, out=out)
+    mean = out / X[:, None]
+    mean += (1.0 / (X + 1.0))[:, None]
     out *= out
     out /= XX1[:, None]
     row = nx * (p * p + 2.0 * p + 1.0 / (x + 1.0) + (x + 1.0) * psi1)
@@ -289,12 +267,8 @@ def kl_moment_grids(table, alphas, betas):
 
 
 def dkl_grid(table, alphas, betas):
-    """Posterior mean KL divergence <D(q||t)> on the (alphas, betas) grid.
-
-    The first moment of ``kl_moment_grids``, without its second.
-    """
-    params = _params(table, alphas, betas)
-    return _kl_mean(_kl_difference(table, *params)[0], params[2])
+    """Posterior mean KL divergence <D(q||t)> on the (alphas, betas) grid."""
+    return kl_moment_grids(table, alphas, betas)[0]
 
 
 def posterior_dkl(table, hp):

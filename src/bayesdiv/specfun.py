@@ -40,22 +40,30 @@ def trigamma(x):
     return float_if_scalar(out, x)
 
 
+_SERIES_FROM = 30.0   # log_half_ratio and its slope sum the asymptotic series from here on
+
+
 def log_half_ratio(x):
     """ln Gamma(x + 1/2) - ln Gamma(x) - (1/2) ln x, to full relative precision.
 
     The value shrinks like -1/(8x); a difference of ln Gamma values loses
-    its digits above x ~ 1e3, so from x = 30 on the asymptotic series is
-    summed instead (its truncation error there is below 1e-13 relative).
+    its digits above x ~ 1e3, so from _SERIES_FROM on the asymptotic series
+    is summed instead (its truncation error there is below 1e-13 relative).
     """
     x = np.asarray(x, dtype=float)
-    big = np.maximum(x, 30.0)
+    big = np.maximum(x, _SERIES_FROM)
     series = (
         -1 / (8 * big) + 1 / (192 * big**3)
         - 1 / (640 * big**5) + 17 / (14336 * big**7)
     )
-    small = np.minimum(x, 30.0)
+    small = np.minimum(x, _SERIES_FROM)
     direct = _sp.gammaln(small + 0.5) - _sp.gammaln(small) - 0.5 * np.log(small)
-    return np.where(x >= 30.0, series, direct)
+    return np.where(x >= _SERIES_FROM, series, direct)
+
+
+def _half_ratio_slope(x):
+    # derivative of log_half_ratio's asymptotic series, for x >= _SERIES_FROM
+    return 1 / (8 * x**2) - 1 / (64 * x**4) + 1 / (128 * x**6) - 17 / (2048 * x**8)
 
 
 # --- digamma differences -------------------------------------------------
@@ -74,6 +82,7 @@ def log_half_ratio(x):
 
 _RAISE_TO = 18.0
 _CHUNK = 2048   # elements per pass of the recurrence, which holds (18, _CHUNK) terms
+_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)   # B_2k / 2k
 
 
 def _recurrence(big, small, gap, steps):
@@ -102,19 +111,14 @@ def _delta_psi_kernel(big, small, gap):
     if low.any():
         acc[low] = _recurrence(big[low], small[low], gap[low], steps[low])
     a, b, d = big + steps, small + steps, gap
-    ab = a * b
-    a2, b2 = a * a, b * b
-    a4, b4 = a2 * a2, b2 * b2
-    apb = a + b
-    series = np.log1p(d / b)
-    series += d * (0.5 / ab)
-    series += d * apb / (12.0 * a2 * b2)
-    series -= d * apb * (a2 + b2) / (120.0 * a4 * b4)
-    series += d * apb * (a4 + a2 * b2 + b4) / (252.0 * a4 * a2 * b4 * b2)
-    series -= d * apb * (a2 + b2) * (a4 + b4) / (240.0 * a4 * a4 * b4 * b4)
-    series += d * apb * (a4 * a4 + a4 * a2 * b2 + a4 * b4 + a2 * b2 * b4 + b4 * b4) / (
-        132.0 * a4 * a4 * a2 * b4 * b4 * b2)
-    return acc + series
+    # psi(z) ~ ln z - 1/(2z) - sum_k c_k z^-2k, and c_k (b^-2k - a^-2k) = c_k d (a + b)
+    # u v h_(k-1), where u = 1/a^2, v = 1/b^2 and h_k = u h_(k-1) + v^k = sum_i u^i v^(k-i)
+    u, v = 1.0 / (a * a), 1.0 / (b * b)
+    h, vk, tail = 1.0, v, 0.0
+    for c in _SERIES:
+        tail = tail + c * h
+        h, vk = u * h + vk, vk * v
+    return acc + np.log1p(d / b) + d * (0.5 / (a * b) + (a + b) * (u * v) * tail)
 
 
 def delta_psi(z1, z2):

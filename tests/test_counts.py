@@ -158,6 +158,16 @@ def test_table_arrays_are_read_only():
         table.nu[0] = 99
 
 
+def test_tables_compare_and_hash_by_identity():
+    # the fields are arrays, whose == has no single truth value
+    table, twin = build_table([1, 2], [0, 1], 3), build_table([1, 2], [0, 1], 3)
+    assert table == table and not table != table
+    assert table != twin and not table == twin
+    assert len({table, twin, table}) == 2
+    assert hash(table.n_levels) == hash(table.n_levels)
+    assert table.n_levels != twin.n_levels
+
+
 def test_observed_categories_counts_positive_rows():
     table = build_table([2, 1, 0, 0], [0, 3, 3, 0], 6)
     assert table.observed_categories(1) == 2

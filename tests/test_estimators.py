@@ -71,6 +71,9 @@ def test_plugin_identical_samples_vanish():
         assert estimate_hellinger_plugin(table, scheme) == pytest.approx(0.0, abs=1e-14)
     # trybula smooths with sqrt(N)/K per sample; equal sizes keep a = b
     assert estimate_dkl_plugin(table, "trybula") == pytest.approx(0.0, abs=1e-14)
+    # here the root sum rounds an ulp above 1, and H^2 stays at 0
+    counts = [0] * 391 + [1, 55, 90, 135, 138, 518, 1800, 5687, 827893]
+    assert estimate_hellinger_plugin(build_table(counts, counts, 400), "trybula") == 0.0
 
 
 def test_plugin_jeffreys_hand_value():
@@ -484,6 +487,41 @@ def test_bayesian_estimates_lie_in_their_range(table):
                 assert 0.0 <= report.value <= 1.0, (name, divergence)
             std = report.posterior_std
             assert std is None or (math.isfinite(std) and std >= 0.0), (name, divergence)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_tables())
+def test_plugins_and_zhang_are_finite_or_reject_an_empty_sample(table):
+    # naive, trybula and perks have no frequencies for an empty sample,
+    # and zhang none for an empty first sample; jeffreys always has
+    empty = table.N == 0 or table.M == 0
+    for scheme in PLUGIN_SCHEMES:
+        if empty and scheme != "jeffreys":
+            for plugin in (estimate_dkl_plugin, estimate_hellinger_plugin):
+                with pytest.raises(ValueError, match="empty sample"):
+                    plugin(table, scheme)
+            continue
+        assert math.isfinite(estimate_dkl_plugin(table, scheme)), scheme
+        assert 0.0 <= estimate_hellinger_plugin(table, scheme) <= 1.0, scheme
+    if table.N == 0:
+        with pytest.raises(ValueError, match="non-empty first sample"):
+            estimate_dkl_zhang(table)
+    else:
+        assert math.isfinite(estimate_dkl_zhang(table))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bayesian_estimates_approach_the_naive_plugin_as_samples_grow(seed):
+    # the prior's pull on each frequency falls like K/N; at K=50 the
+    # estimates sit 1-3 K/N from the naive plugin
+    K = 50
+    for size in (10**4, 10**6, 10**8):
+        table, _, _ = _dirichlet_table(K, size, seed)
+        for divergence in ("kl", "hellinger2"):
+            naive = estimate(table, "naive", divergence).value
+            for name in ("dp", "dpm"):
+                value = estimate(table, name, divergence).value
+                assert abs(value / naive - 1.0) <= 10 * K / size, (name, divergence, size)
 
 
 def test_hellinger_dpm_diagnostics_name_the_callers_samples():

@@ -433,18 +433,6 @@ def test_dkl_grid_is_the_first_moment_bit_for_bit(K, N):
                           kl_moment_grids(table, alphas, betas)[0])
 
 
-def test_dkl_grid_runs_no_trigamma(monkeypatch):
-    # the mean stops at the difference d; trigamma only enters <D^2>
-    from bayesdiv import posterior
-
-    def no_trigamma(*args):
-        raise AssertionError("dkl_grid evaluated trigamma")
-
-    table = _moment_table(400, 25)
-    want = kl_moment_grids(table, [0.5, 2.0], [1.0])[0]
-    monkeypatch.setattr(posterior, "trigamma", no_trigamma)
-    assert np.array_equal(dkl_grid(table, [0.5, 2.0], [1.0]), want)
-
 # --- grid versions agree with scalar loops ------------------------------------------
 
 def test_grids_match_scalar_evaluations():

@@ -109,6 +109,21 @@ def test_delta_psi_integer_gaps_match_mpmath():
     assert worst <= 2e-14
 
 
+def test_delta_psi_matches_mpmath_over_bases_and_gaps():
+    # bases from 1e-7 to 1e7, gaps from 1e-12 to 1e7 and small integers,
+    # in one batch call; a gap lost to rounding leaves no difference to test
+    gaps = np.concatenate([np.geomspace(1e-12, 1e7, 39), np.arange(1.0, 6.0)])
+    small, gap = (g.ravel() for g in np.meshgrid(np.geomspace(1e-7, 1e7, 29), gaps))
+    big = small + gap
+    keep = big > small
+    got = delta_psi(big[keep], small[keep])
+    worst = 0.0
+    for value, z1, z2 in zip(got.tolist(), big[keep].tolist(), small[keep].tolist()):
+        truth = mpmath.digamma(mpmath.mpf(z1)) - mpmath.digamma(mpmath.mpf(z2))
+        worst = max(worst, float(abs((value - truth) / truth)))
+    assert worst <= 2e-15
+
+
 def test_delta_psi_of_a_batch_element_is_that_element_alone():
     # each element takes its own recurrence steps, so an element's value
     # does not depend on the batch: bases from 1e-6 to 1e6, in either
