@@ -40,7 +40,6 @@ from .posterior import (
     hellinger_sq_grid,
     kl_moment_grids,
     log_evidence,
-    log_evidence_curvature,
     log_evidence_grid,
     log_evidence_gradient,
 )
@@ -87,8 +86,8 @@ DIVERGENCES = ("kl", "hellinger2")
 class EstimateReport:
     """Estimate plus run metadata.
 
-    ``posterior_std`` is only filled by the KL mixture estimator (the one
-    with a second-moment formula); everything else reports None.
+    ``posterior_std`` is only filled by the KL mixture estimator, the
+    only one that reports a spread today; everything else reports None.
     ``diagnostics`` is empty for the plugins and the Z estimator.
     """
 
@@ -190,13 +189,9 @@ def _axis_rules(u):
 
 
 def _tiles(nodes):
-    """Slices of at most _TILE_NODES + 1 nodes that cover an axis of ``nodes``.
-
-    Each slice starts on an even node, so its every-other-node part lies
-    on the subgrid of the whole axis.
-    """
+    """Slices of at most _TILE_NODES + 1 nodes that cover an axis of ``nodes``."""
     count = max(1, -(-(nodes - 1) // _TILE_NODES))
-    cuts = [2 * ((nodes - 1) * k // (2 * count)) for k in range(count)] + [nodes]
+    cuts = [(nodes - 1) * k // count for k in range(count)] + [nodes]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
@@ -294,26 +289,22 @@ def _mean_std(averages):
     return (first, *(math.sqrt(max(0.0, s - first * first)) for s in second))
 
 
-def _rising(table, us, which):
-    """Where the evidence gradient is positive, at the nodes ``us`` of ln alpha."""
-    return log_evidence_gradient(table, np.exp(us), which) > 0.0
-
-
 def _evidence_argmax(table, which):
     """ln alpha of one sample's evidence maximum, bracketed to _DP_TOL.
 
     The bracket [lo, hi] keeps the gradient rising at lo and not at hi,
     unless that end is the box edge.  A whole-box scan brackets the best
-    node.  From there, Newton steps in ln alpha, with the trigamma
-    curvature, move an iterate whose gradient sign shrinks the bracket.
-    A step that leaves the bracket or fails to halve is replaced by a
-    gradient-sign scan of the bracket on _SCAN_NODES inner nodes.  Once a
-    step falls below _DP_TOL / 2, a probe on each side closes the bracket.
+    node.  From there, secant steps in ln alpha on s = alpha g(alpha),
+    through the last two iterates, move an iterate whose gradient sign
+    shrinks the bracket.  The first iterate, a repeated s, and a step
+    that leaves the bracket or fails to halve move to the bracket's
+    midpoint instead.  Once a step falls below _DP_TOL / 2, a probe on
+    each side closes the bracket.
     """
     u = np.linspace(_LOG_LO, _LOG_HI, _SCAN_NODES)
     i = int(np.argmax(log_evidence_grid(table, np.exp(u), which)))
     lo, hi = float(u[max(i - 1, 0)]), float(u[min(i + 1, len(u) - 1)])
-    x, last_step = float(u[i]), hi - lo
+    x, last_step, x0, s0 = float(u[i]), hi - lo, math.nan, math.nan
     while True:
         a = math.exp(x)
         g = log_evidence_gradient(table, a, which)
@@ -323,20 +314,17 @@ def _evidence_argmax(table, which):
             hi = x
         if hi - lo <= _DP_TOL:
             return 0.5 * (lo + hi)
-        # Newton on s(u) = a g(a), whose slope is a g + a^2 g'(a)
-        slope = a * g + a * a * log_evidence_curvature(table, a, which)
-        step = -a * g / slope if slope < 0.0 else math.inf
+        s = a * g   # secant on s(u) = a g(a); a nan step is not taken
+        step = (x - x0) * s / (s0 - s) if s != s0 else math.nan
+        x0, s0 = x, s
         if abs(step) < 0.5 * _DP_TOL:
             probes = x + step + np.array([-0.4, 0.4]) * _DP_TOL
-            if tuple(_rising(table, probes, which)) == (True, False):
+            left, right = log_evidence_gradient(table, np.exp(probes), which)
+            if left > 0.0 >= right:
                 return x + step
         elif lo < x + step < hi and abs(step) < 0.5 * last_step:
             x, last_step = x + step, abs(step)
             continue
-        u = np.linspace(lo, hi, _SCAN_NODES + 2)[1:-1]
-        rising = _rising(table, u, which)
-        j = int(np.argmin(rising)) if not rising.all() else len(u)
-        lo, hi = (float(u[j - 1]) if j > 0 else lo), (float(u[j]) if j < len(u) else hi)
         x, last_step = 0.5 * (lo + hi), hi - lo
 
 

@@ -172,17 +172,6 @@ def log_evidence_gradient(table, alpha, which_sample=1):
     return float(out[0]) if np.ndim(alpha) == 0 else out
 
 
-def log_evidence_curvature(table, alpha, which_sample=1):
-    """d^2/d(alpha)^2 of log_evidence at one alpha, as trigamma differences."""
-    levels, total = _axis(table, which_sample)
-    K, a = table.K, float(check_positive(alpha, "alpha"))
-    nz = levels.values > 0
-    out = -K * K * (trigamma(total + K * a) - trigamma(K * a))
-    if nz.any():
-        out += float(levels.nu[nz] @ (trigamma(levels.values[nz] + a) - trigamma(a)))
-    return float(out)
-
-
 # --- first moments --------------------------------------------------------
 
 def entropy_grid(table, alphas, which_sample=1):

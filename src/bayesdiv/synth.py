@@ -100,7 +100,7 @@ def exact_dkl(q, t):
 def exact_hellinger_sq(q, t):
     """DH^2(q,t) = 1 - sum sqrt(q t), in [0, 1]."""
     qv, tv = _check_pair(q, t)
-    return float(1.0 - np.sqrt(qv * tv).sum())
+    return max(0.0, float(1.0 - np.sqrt(qv * tv).sum()))   # the sum may round past 1
 
 
 # --- Markov L-grams -------------------------------------------------------

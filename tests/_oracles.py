@@ -173,34 +173,31 @@ def kl_moments_mpmath(table, alpha, beta, dps=60):
 
 
 def evidence_mpmath(table, alpha, which_sample, dps=40):
-    """ln evidence, as documented by log_evidence_grid, and its first two
-    alpha derivatives, summed row by row at ``dps`` digits.
+    """ln evidence, as documented by log_evidence_grid, and its alpha
+    derivative, summed row by row at ``dps`` digits.
 
     The value is -sum_u nu_u ln B(alpha, c_u) + ln B(K alpha, C) over rows
-    with c_u >= 1.  Each derivative is returned as its two sums (rows,
-    total), the derivative being rows - total: the digamma or trigamma
-    differences of the rows, and K or K^2 times that of the total.
+    with c_u >= 1.  The derivative is returned as its two sums (rows,
+    total), the derivative being rows - total: the digamma differences of
+    the rows, and K times that of the total.
     """
     import mpmath
 
     counts, total = (table.n, table.N) if which_sample == 1 else (table.m, table.M)
     with mpmath.workdps(dps):
-        a, K = mpmath.mpf(float(alpha)), table.K
-        psi, psi1 = mpmath.digamma, lambda z: mpmath.polygamma(1, z)
+        a, K, psi = mpmath.mpf(float(alpha)), table.K, mpmath.digamma
 
         def log_b(x, y):
             return mpmath.loggamma(x) + mpmath.loggamma(y) - mpmath.loggamma(x + y)
 
         rows = [(int(c), int(nu)) for c, nu in zip(counts, table.nu) if c > 0]
         value = -mpmath.fsum(nu * log_b(a, c) for c, nu in rows)
-        psi_a, psi1_a = psi(a), psi1(a)
+        psi_a = psi(a)
         grad = [mpmath.fsum(nu * (psi(c + a) - psi_a) for c, nu in rows), 0]
-        curv = [mpmath.fsum(nu * (psi1(c + a) - psi1_a) for c, nu in rows), 0]
         if total > 0:
             value += log_b(K * a, int(total))
             grad[1] = K * (psi(int(total) + K * a) - psi(K * a))
-            curv[1] = K * K * (psi1(int(total) + K * a) - psi1(K * a))
-        return float(value), tuple(map(float, grad)), tuple(map(float, curv))
+        return float(value), tuple(map(float, grad))
 
 
 def entropy_mpmath(table, alpha, which_sample, dps=40):

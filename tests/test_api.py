@@ -61,7 +61,6 @@ _CHECKED = {
     "posterior.log_evidence": lambda v: posterior.log_evidence(_TABLE, v),
     "posterior.log_evidence_grid": lambda v: posterior.log_evidence_grid(_TABLE, v),
     "posterior.log_evidence_gradient": lambda v: posterior.log_evidence_gradient(_TABLE, v),
-    "posterior.log_evidence_curvature": lambda v: posterior.log_evidence_curvature(_TABLE, v),
     "posterior.entropy_grid": lambda v: posterior.entropy_grid(_TABLE, v),
     **{f"posterior.{fn}[{side}]": (
         lambda v, fn=fn, side=side: getattr(posterior, fn)(

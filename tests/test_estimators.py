@@ -216,6 +216,26 @@ def test_dp_maximum_sits_on_a_gradient_sign_change():
                 assert right <= 0.0, (N, which)
 
 
+def test_dp_search_takes_few_gradient_calls(monkeypatch):
+    # one gradient call per iterate, the two-point probe counting once,
+    # over the K=400 ladder; no sample there has one count, whose flat
+    # evidence the search can only bisect
+    calls = []
+
+    def counted(*args):
+        calls[-1] += 1
+        return log_evidence_gradient(*args)
+
+    monkeypatch.setattr(estimators, "log_evidence_gradient", counted)
+    for seed in range(3):
+        for N in (25, 50, 100, 200, 400, 1000, 4000, 10_000, 40_000):
+            table = _dirichlet_table(400, N, seed)[0]
+            for which in (1, 2):
+                calls.append(0)
+                estimators._evidence_argmax(table, which)
+    assert 0 < max(calls) <= 12, calls
+
+
 def test_dpm_and_dp_maximizers_differ_at_small_samples():
     table, _, _ = _dirichlet_table(400, 100, 0)
     dp = maximize_log_posterior(table)
@@ -279,8 +299,9 @@ def test_mixture_average_stays_within_its_grid():
         assert grid.min() <= avg <= grid.max()
 
 
+@pytest.mark.parametrize("tile, tiles", [(16, 4), (15, 5)])   # 15 cuts at odd nodes
 @pytest.mark.parametrize("dims", [1, 2])
-def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims):
+def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims, tile, tiles):
     table = _dirichlet_table(40, 30, seed=4)[0]
     if dims == 2:
         log_weight = _dpm_log_weight(table, log_weight_kl)
@@ -297,10 +318,10 @@ def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims):
     axes = [np.linspace(lo, hi, 65) for lo, hi in _scan(log_weight, dims)[0]]
     whole = _level_averages(log_weight, moments, axes)
     assert seen == [[65] * dims]
-    monkeypatch.setattr(estimators, "_TILE_NODES", 16)
+    monkeypatch.setattr(estimators, "_TILE_NODES", tile)
     seen.clear()
     tiled = _level_averages(log_weight, moments, axes)
-    assert len(seen) == 4 ** dims and max(map(max, seen)) <= 17
+    assert len(seen) == tiles ** dims and max(map(max, seen)) <= tile + 1
     for got, want in zip([*tiled[0], *tiled[1], tiled[2]], [*whole[0], *whole[1], whole[2]]):
         assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
 

@@ -18,7 +18,6 @@ from bayesdiv.posterior import (
     hellinger_sq_grid,
     kl_moment_grids,
     log_evidence,
-    log_evidence_curvature,
     log_evidence_grid,
     log_evidence_gradient,
     posterior_dkl,
@@ -135,19 +134,6 @@ def test_log_evidence_gradient_accepts_alpha_vectors():
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     empty = build_table([0, 0], [0, 0], 2)
     np.testing.assert_array_equal(log_evidence_gradient(empty, alphas), 0.0)
-
-
-def test_log_evidence_curvature_matches_gradient_differences():
-    table = build_table([5, 2, 0, 1], [1, 1, 3, 0], 6)
-    for which in (1, 2):
-        for alpha in (0.05, 1.0, 40.0):
-            h = 1e-5 * alpha
-            fd = (
-                log_evidence_gradient(table, alpha + h, which)
-                - log_evidence_gradient(table, alpha - h, which)
-            ) / (2 * h)
-            got = log_evidence_curvature(table, alpha, which)
-            assert got == pytest.approx(fd, rel=1e-7, abs=0)
 
 
 # --- prior means --------------------------------------------------------------
@@ -494,7 +480,7 @@ _ALPHAS, _BETAS = [1e-3, 0.7, 40.0], [2e-3, 90.0]
 
 
 def _near_difference(got, first, second):
-    # the evidence derivatives and H^2 are differences of two sums, which
+    # the evidence gradient and H^2 are differences of two sums, which
     # cancel where the evidence is flat (exactly, for a one-count sample)
     # or the two posteriors nearly agree; there the error is bounded by
     # the size of the sums instead
@@ -517,10 +503,9 @@ def test_evaluators_on_levels_match_row_by_row_oracles(case):
         gradient = log_evidence_gradient(table, np.array(values), which)
         entropy = entropy_grid(table, values, which)
         for k, v in enumerate(values):
-            value, grad, curv = evidence_mpmath(table, v, which, dps=30)
+            value, grad = evidence_mpmath(table, v, which, dps=30)
             assert grid[k] == pytest.approx(value, **rel), (which, v)
             _near_difference(gradient[k], *grad)
-            _near_difference(log_evidence_curvature(table, v, which), *curv)
             assert entropy[k] == pytest.approx(entropy_mpmath(table, v, which), **rel)
     first = dkl_grid(table, _ALPHAS, _BETAS)
     second = dkl_squared_grid(table, _ALPHAS, _BETAS)

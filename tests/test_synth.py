@@ -67,6 +67,13 @@ def test_exact_hellinger_bounds_and_symmetry():
     assert exact_hellinger_sq(q, q) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_exact_hellinger_of_a_vector_with_itself_is_not_negative():
+    # sum sqrt(q q) rounds an ulp past 1 for some vectors (K=52 at seed 1)
+    for seed in range(40):
+        q = sample_dirichlet(2 + 50 * seed, 1.0, seed)
+        assert 0.0 <= exact_hellinger_sq(q, q) <= 1e-15, seed
+
+
 def test_exact_hellinger_disjoint_supports():
     q = np.array([1.0, 0.0])
     t = np.array([0.0, 1.0])
