@@ -44,6 +44,7 @@ from bayesdiv.synth import (
 )
 
 from _oracles import (
+    evidence_mpmath,
     expand_counts,
     random_count_pair,
     uniform_chain,
@@ -234,6 +235,45 @@ def test_dp_search_takes_few_gradient_calls(monkeypatch):
                 calls.append(0)
                 estimators._evidence_argmax(table, which)
     assert 0 < max(calls) <= 12, calls
+
+
+@pytest.mark.parametrize("K, N, seed", [(400, 25, 0), (50, 200, 3), (3, 10**6, 2)])
+def test_dp_maximum_sits_on_a_sign_change_of_the_exact_gradient(K, N, seed):
+    # the gradient summed at 40 digits changes sign within 1e-10 in ln alpha
+    # of each coordinate, or at the box edge points past it
+    table, _, _ = _dirichlet_table(K, N, seed)
+    mx = maximize_log_posterior(table)
+    for which, star, edge in ((1, mx.alpha_star, mx.boundary_alpha),
+                              (2, mx.beta_star, mx.boundary_beta)):
+        left, right = (
+            math.fsum((rows, -total)) for rows, total in (
+                evidence_mpmath(table, math.exp(math.log(star) + d), which)[1]
+                for d in (-1e-10, 1e-10)))
+        if not edge:
+            assert left > 0.0 > right, (which, left, right)
+        elif star > 1.0:
+            assert left > 0.0, (which, left)
+        else:
+            assert right < 0.0, (which, right)
+
+
+def test_dp_search_ends_on_a_one_count_sample(monkeypatch):
+    # one count makes the evidence exactly flat, so the gradient's sign is
+    # rounding; the search still ends inside the box, mostly by halving its
+    # bracket (41 halvings take the scan's two steps below 1e-12)
+    calls = []
+
+    def counted(*args):
+        calls[-1] += 1
+        return log_evidence_gradient(*args)
+
+    monkeypatch.setattr(estimators, "log_evidence_gradient", counted)
+    for K in (2, 3, 10, 400, 10_000):
+        table = build_table([1] + [0] * (K - 1), [0] * (K - 1) + [3], K)
+        calls.append(0)
+        u = estimators._evidence_argmax(table, 1)
+        assert math.log(1e-6) <= u <= math.log(1e6), K
+    assert max(calls) <= 64, calls
 
 
 def test_dpm_and_dp_maximizers_differ_at_small_samples():
