@@ -254,32 +254,32 @@ def _comment_lines(text):
 
 def _bulk_read(path, tsv):
     """Read a count file with numpy's C reader -> what _walk returns, or
-    None where only the walker can decide."""
+    None where only the walker can decide.  The reader parses both layouts'
+    counts as int64; a count that only int() reads ("1_0", non-ASCII digits)
+    leaves the file to the walker, which reads it to the same table."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
         comments = _comment_lines(text)
         if comments is None or "\0" in text:   # a str array drops trailing NULs
             return None
-        header_k = None
-        for comment in comments if tsv else ():
-            k = _header_k(comment)
-            header_k = header_k if k is None else k
+        found = [k for k in map(_header_k, comments if tsv else ()) if k is not None]
+        header_k = found[-1] if found else None   # the last "#K=" header counts
         with warnings.catch_warnings():
             # as errors, loadtxt's warnings (no data rows; in numpy 1.x, a
             # count read through a float) leave the file to the walker
             warnings.simplefilter("error")
-            rows = np.loadtxt(path, dtype=object if tsv else np.int64,
+            rows = np.loadtxt(path, dtype=[("key", object if tsv else np.int64),
+                                           ("count", np.int64)],
                               delimiter="\t" if tsv else ",", comments="#",
-                              ndmin=2, encoding="utf-8-sig")
-        if rows.shape[1] != 2 or (not tsv and rows.min() < 0):
+                              ndmin=1, encoding="utf-8-sig")
+        keys, counts = rows["key"], rows["count"].copy()   # a view keeps each TSV id alive
+        if counts.min() < 0 or (not tsv and keys.min() < 0):
             return None
-        keys, counts = rows[:, 0], rows[:, 1]
         if tsv:
             keys = np.char.strip(keys.astype(str))
-            counts = counts.astype(np.int64)   # int() of each field
             ordered = np.sort(keys, kind="stable")   # an empty id sorts first
-            if counts.min() < 0 or not ordered[0] or np.any(ordered[1:] == ordered[:-1]):
+            if not ordered[0] or np.any(ordered[1:] == ordered[:-1]):
                 return None
     except (ValueError, OverflowError, Warning):
         return None

@@ -478,8 +478,8 @@ def estimate_dkl_zhang(table):
     n = table.n[keep].astype(float)
     m = table.m[keep].astype(float)
     nu = table.nu[keep].astype(float)
-    cross = delta_psi(np.full_like(m, table.M + 1.0), m + 1.0)
-    ent = delta_psi(np.full_like(n, float(table.N)), n)
+    cross = delta_psi(table.M + 1.0, m + 1.0)
+    ent = delta_psi(float(table.N), n)
     return float(np.dot(nu, (n / table.N) * (cross - ent)))
 
 

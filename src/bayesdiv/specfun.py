@@ -129,8 +129,7 @@ def delta_psi(z1, z2):
     """
     a1 = check_positive(z1, "z1")
     a2 = check_positive(z2, "z2")
-    b1, b2 = np.broadcast_arrays(a1, a2)
-    big = np.maximum(b1, b2)
-    small = np.minimum(b1, b2)
-    out = np.sign(b1 - b2) * _delta_psi_kernel(big, small, big - small)
+    big = np.maximum(a1, a2)
+    small = np.minimum(a1, a2)
+    out = np.sign(a1 - a2) * _delta_psi_kernel(big, small, big - small)
     return float_if_scalar(out, z1, z2)

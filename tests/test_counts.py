@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from contextlib import contextmanager
@@ -501,6 +502,46 @@ def test_well_formed_files_never_reach_the_walker(tmp_path, monkeypatch, newline
     monkeypatch.setattr(counts_module, "_walk", walk)
     assert (_outcome(load_count_files, *files[:2]), _outcome(load_count_files, files[2])) == want
     assert want[0] == want[1]
+
+
+@pytest.mark.parametrize("first, second, walked", [
+    ("1_0", "٣", True), ("+5", " 7 ", False),
+], ids=["counts only int() reads", "counts numpy reads"])
+def test_counts_only_int_reads_leave_a_tsv_to_the_walker(tmp_path, monkeypatch,
+                                                         first, second, walked):
+    f1 = _write_lines(tmp_path, "a.tsv", ["#K=6", "a\t3", f"b\t{first}"])
+    f2 = _write_lines(tmp_path, "b.tsv", [f"a\t{second}", "c\t2"])
+    want = _outcome(_ref_load, f1, f2)
+    assert want[3] == 6   # a table, not an error
+    handed = []
+    walk = counts_module._walk
+    monkeypatch.setattr(counts_module, "_walk",
+                        lambda path, *args: handed.append(path) or walk(path, *args))
+    assert _outcome(load_count_files, f1, f2) == want
+    assert handed == ([f1, f2] if walked else [])
+
+
+def test_a_wide_tsv_pair_loads_without_holding_its_parsed_rows(tmp_path):
+    # perfbench's layout: K=1e5, N=M=1e6 from Dirichlet(1), nonzero rows
+    # only (about 91 000 a file).  A count column that viewed the parsed
+    # rows would keep every id of both files alive as a Python string
+    # through the join, about 11 MB more than the 22 MB peak
+    K = 100_000
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("a.tsv", "b.tsv"):
+        counts = rng.multinomial(1_000_000, rng.dirichlet(np.ones(K)))
+        idx = np.flatnonzero(counts)
+        paths.append(_write_lines(tmp_path, name, [f"#K={K}", *(
+            f"c{i}\t{c}" for i, c in zip(idx.tolist(), counts[idx].tolist()))]))
+    tracemalloc.start()
+    try:
+        table = load_count_files(*paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (table.K, table.N, table.M) == (K, 1_000_000, 1_000_000)
+    assert peak < 26e6, peak
 
 
 def test_ids_that_differ_by_a_trailing_nul_stay_apart(tmp_path):

@@ -154,6 +154,13 @@ def test_delta_psi_broadcasts():
     out = delta_psi(z1, 1.0)
     assert out.shape == (3,)
     assert out[2] == pytest.approx(1 + 1 / 2 + 1 / 3, abs=1e-13)
+    # (A,1) x (1,B) and scalar x array give the values of the broadcast arguments
+    rng = np.random.default_rng(5)
+    col, row = np.exp(rng.normal(0, 4, (7, 1))), np.exp(rng.normal(0, 4, (1, 5)))
+    row[0, 0] = col[3, 0] * (1 + 1e-9)   # one nearly coinciding pair
+    for x, y in ((col, row), (row, col), (2.5, row), (col, 40.0)):
+        bx, by = np.broadcast_arrays(x, y)
+        assert np.array_equal(delta_psi(x, y), delta_psi(bx, by))
 
 
 def test_delta_psi_rejects_nonpositive():
