@@ -248,7 +248,7 @@ def _level_averages(log_weight, moments, axes):
             [s / coarse_w for s in grid_sums[1::2]], edge / fine_w)
 
 
-def _quadrature(log_weight, moments, dims, names=("alpha", "beta")):
+def _quadrature(log_weight, moments, names):
     """Posterior averages of ``moments`` over the whole box.
 
     Scans for the window, then evaluates the log weight and the moment
@@ -260,9 +260,9 @@ def _quadrature(log_weight, moments, dims, names=("alpha", "beta")):
     change of a returned number between the level and its subgrid, and
     ``converged`` says whether the last level met _QUAD_TOL.  ``names``
     label the axes in the diagnostics, in the order of ``log_weight``'s
-    arguments.
+    arguments, and set their number.
     """
-    window, stars, top, edges = _scan(log_weight, dims)
+    window, stars, top, edges = _scan(log_weight, len(names))
     nodes = _FIRST_NODES
     while True:
         axes = [np.linspace(lo, hi, nodes) for lo, hi in window]
@@ -334,20 +334,18 @@ def maximize_log_posterior(table):
     Works in (ln alpha, ln beta) over the box [1e-6, 1e6]^2, where the
     evidence separates: each coordinate's maximum is bracketed to 1e-12
     in ln alpha on the sign of the analytic evidence gradient (see
-    ``_evidence_argmax``).  An empty sample leaves its coordinate flat:
-    it is pinned at 1.0 and flagged as boundary.
+    ``_evidence_argmax``).  A sample with at most one observation has a
+    flat evidence, 1/K at every concentration: its coordinate is pinned
+    at 1.0 and flagged as boundary.
     """
     check_K(check_table(table).K)
     out = []
     for which, total in ((1, table.N), (2, table.M)):
-        if total == 0:
-            out.append((1.0, 0.0, True))
-            continue
-        u_star = _evidence_argmax(table, which)
-        a_star = math.exp(u_star)
-        out.append((a_star, log_evidence(table, a_star, which), _at_edge(u_star)))
-    (a_star, f_a, edge_a), (b_star, f_b, edge_b) = out
-    return PosteriorMax(a_star, b_star, f_a + f_b, edge_a, edge_b)
+        u_star = _evidence_argmax(table, which) if total > 1 else 0.0
+        out.append((math.exp(u_star), total < 2 or _at_edge(u_star)))
+    (a_star, edge_a), (b_star, edge_b) = out
+    f = log_evidence(table, a_star, 1) + log_evidence(table, b_star, 2)
+    return PosteriorMax(a_star, b_star, f, edge_a, edge_b)
 
 
 def _canonical_orientation(table):
@@ -375,7 +373,7 @@ def _dpm_report(table, log_prior, moment_grids, names=("alpha", "beta")):
     check_K(check_table(table).K)
     out, diag = _quadrature(
         _dpm_log_weight(table, log_prior),
-        lambda ua, ub: moment_grids(table, np.exp(ua), np.exp(ub)), 2, names)
+        lambda ua, ub: moment_grids(table, np.exp(ua), np.exp(ub)), names)
     return EstimateReport(*out, diagnostics=diag)
 
 
@@ -545,5 +543,5 @@ def estimate_entropy_nsb(counts, K):
         )
 
     (value,), diag = _quadrature(
-        log_weight, lambda ua: [entropy_grid(table, np.exp(ua), 1)], 1)
+        log_weight, lambda ua: [entropy_grid(table, np.exp(ua), 1)], ("alpha",))
     return EstimateReport(value, None, diag)

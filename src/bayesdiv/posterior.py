@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .counts import MultiplicityTable
-from .specfun import check_positive, delta_psi, log_half_ratio, trigamma
+from .specfun import check_positive, delta_psi, float_if_scalar, log_half_ratio, trigamma
 
 __all__ = [
     "HyperParams",
@@ -130,25 +130,31 @@ def prior_mean_crossentropy(beta, K):
 
 # --- evidence -------------------------------------------------------------
 
+def _evidence_terms(table, alphas, which_sample, name):
+    """Checked alphas, and the (T,) n, w and c of one sample's evidence terms
+    w ln B(c alpha, n): the levels' (c = 1, w = -nu), then the total's (K, 1)."""
+    levels, total = _axis(table, which_sample)
+    n = np.append(levels.values, total).astype(float)
+    w = np.append(-levels.nu.astype(float), 1.0)
+    c = np.append(np.ones(len(levels.values)), float(table.K))
+    return _grid_vec(alphas, name), n, w, c
+
+
 def log_evidence_grid(table, alphas, which_sample=1):
     """ln P(counts | alpha) over a vector of alphas, up to a constant.
 
     The value is ln[B(counts + alpha) / B(alpha)] less every alpha-free
     term: each ln Gamma(x + n) - ln Gamma(x) is taken as
-    ln Gamma(n) - ln B(x, n) and its ln Gamma(n) dropped, so the result is
-    -sum_i ln B(alpha, n_i) + ln B(K alpha, N) over categories with
-    n_i >= 1.  Differencing ln Gamma values of size N ln N would lose the
+    ln Gamma(n) - ln B(x, n) and its ln Gamma(n) dropped.  That leaves the
+    terms w ln B(c alpha, n) of ``_evidence_terms``, -nu ln B(alpha, n) per
+    level and then ln B(K alpha, N), summed over those with n >= 1 (ln B(x, 0)
+    is infinite).  Differencing ln Gamma values of size N ln N would lose the
     digits that separate alphas on a flat evidence; this form keeps them.
     The dropped constant cancels in every posterior ratio.
     """
-    levels, total = _axis(table, which_sample)
-    alphas = _grid_vec(alphas, "alphas")
-    seen = levels.values > 0
-    n = levels.values[seen].astype(float)
-    out = -(_sp.betaln(alphas[:, None], n) @ levels.nu[seen].astype(float))
-    if total > 0:
-        out += _sp.betaln(table.K * alphas, float(total))
-    return out
+    alphas, n, w, c = _evidence_terms(table, alphas, which_sample, "alphas")
+    seen = n > 0
+    return (w[seen] * _sp.betaln(c[seen] * alphas[:, None], n[seen])).sum(axis=1)
 
 
 def log_evidence(table, alpha, which_sample=1):
@@ -157,19 +163,15 @@ def log_evidence(table, alpha, which_sample=1):
 
 
 def log_evidence_gradient(table, alpha, which_sample=1):
-    """d/d(alpha) of log_evidence; analytic, cancellation-safe.
-
-    ``alpha`` may be a scalar or a 1-d array; the result has its shape.
+    """d/d(alpha) of log_evidence, cancellation-safe: a term w ln B(c alpha, n)
+    adds w c (psi(c alpha) - psi(c alpha + n)), exactly 0 at n = 0, so one
+    ``delta_psi`` call serves them all.  ``alpha`` may be a scalar or a 1-d
+    array; the result has its shape.
     """
-    levels, total = _axis(table, which_sample)
-    av = _grid_vec(alpha, "alpha")
-    K = table.K
-    nz = levels.values > 0
-    out = -K * delta_psi(total + K * av, K * av)
-    if nz.any():
-        per_level = delta_psi(levels.values[nz][None, :] + av[:, None], av[:, None])
-        out += per_level @ levels.nu[nz].astype(float)
-    return float(out[0]) if np.ndim(alpha) == 0 else out
+    av, n, w, c = _evidence_terms(table, alpha, which_sample, "alpha")
+    x = c * av[:, None]
+    out = (-(w * c) * delta_psi(x + n, x)).sum(axis=1)
+    return float_if_scalar(out.reshape(np.shape(alpha)), alpha)
 
 
 # --- first moments --------------------------------------------------------

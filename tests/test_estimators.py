@@ -32,6 +32,7 @@ from bayesdiv.posterior import (
     HyperParams,
     entropy_grid,
     kl_moment_grids,
+    log_evidence,
     log_evidence_grid,
     log_evidence_gradient,
     posterior_dkl,
@@ -184,6 +185,25 @@ def test_dp_empty_table_flags_boundaries():
     mx = maximize_log_posterior(table)
     assert mx.boundary_alpha and mx.boundary_beta
     assert mx.alpha_star == 1.0 and mx.beta_star == 1.0
+
+
+def test_dp_pins_a_one_count_sample_without_a_search(monkeypatch):
+    # one observation makes the evidence 1/K at every alpha: that sample is
+    # pinned at 1.0 and flagged, as an empty one is, and adds its evidence
+    # there, -ln K (scipy's betaln(1e4, 1) is 5e-13 off it)
+    calls = []
+    monkeypatch.setattr(estimators, "log_evidence_gradient", lambda *args: calls.append(args))
+    for K in (2, 3, 10, 400, 10_000):
+        one = [1] + [0] * (K - 1)
+        for second, second_term in ((one[::-1], -math.log(K)), ([0] * K, 0.0)):
+            table = build_table(one, second, K)
+            mx = maximize_log_posterior(table)
+            assert (mx.alpha_star, mx.beta_star) == (1.0, 1.0)
+            assert mx.boundary_alpha and mx.boundary_beta
+            terms = log_evidence(table, 1.0, 1), log_evidence(table, 1.0, 2)
+            assert mx.log_evidence_at_max == terms[0] + terms[1]
+            assert terms == pytest.approx((-math.log(K), second_term), rel=1e-12, abs=0)
+    assert calls == []
 
 
 def test_dp_maximizer_resolves_a_flat_evidence():

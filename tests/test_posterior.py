@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bayesdiv import posterior
 from bayesdiv.counts import build_table
 from bayesdiv.estimators import _canonical_orientation
 from bayesdiv.hyperprior import _log_g
 from bayesdiv.posterior import (
     HyperParams,
+    check_table,
     dkl_grid,
     dkl_squared_grid,
     entropy_grid,
@@ -26,6 +28,7 @@ from bayesdiv.posterior import (
     prior_mean_crossentropy,
     prior_mean_entropy,
 )
+from bayesdiv.specfun import delta_psi
 from bayesdiv.synth import sample_dirichlet, sample_multinomial
 
 from _oracles import (
@@ -59,6 +62,22 @@ def test_hyperparams_validation():
         _hp(math.inf, 1.0, 3)
     with pytest.raises(ValueError):
         _hp(1.0, 1.0, 1)
+
+
+_TABLE = build_table([3, 0, 1], [1, 2, 0], 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_table([3, 0, 1]), "expected a MultiplicityTable"),
+    (lambda: posterior_dkl(_TABLE, (1.0, 1.0, 4)), "expected HyperParams"),
+    (lambda: posterior_dkl(_TABLE, _hp(1.0, 1.0, 5)), "hyperparameter K=5 != table K=4"),
+    (lambda: log_evidence(_TABLE, 1.0, 3), "which_sample must be 1 or 2"),
+    (lambda: log_evidence_grid(_TABLE, [[1.0, 2.0]]), "alphas must be a 1-d array"),
+], ids=["table", "hyperparams", "hyperparams_k", "which_sample", "alphas_2d"])
+def test_bad_inputs_raise_with_their_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # --- evidence ---------------------------------------------------------------
@@ -134,6 +153,42 @@ def test_log_evidence_gradient_accepts_alpha_vectors():
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     empty = build_table([0, 0], [0, 0], 2)
     np.testing.assert_array_equal(log_evidence_gradient(empty, alphas), 0.0)
+
+
+def test_evidence_batch_elements_equal_their_scalar_calls():
+    # each element is its own row's sum, so it rounds as the scalar call at
+    # its alpha does; every second sample holds one observation or none
+    rng = np.random.default_rng(21)
+    alphas = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 25))
+    for _ in range(8):
+        n, _, K = random_count_pair(rng, max_k=400, max_count=10**6)
+        one = np.zeros(K, dtype=np.int64)
+        one[int(rng.integers(0, K))] = 1
+        for m in (one, np.zeros(K, dtype=np.int64)):
+            table = build_table(n, m, K)
+            for which in (1, 2):
+                grid = log_evidence_grid(table, alphas, which)
+                gradient = log_evidence_gradient(table, alphas, which)
+                for a, value, slope in zip(alphas, grid, gradient):
+                    assert log_evidence_grid(table, [a], which)[0] == value, (K, which, a)
+                    assert log_evidence_gradient(table, float(a), which) == slope, (K, which, a)
+
+
+def test_log_evidence_gradient_makes_one_delta_psi_call(monkeypatch):
+    # the total's term is stacked onto the levels' terms
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return delta_psi(*args)
+
+    monkeypatch.setattr(posterior, "delta_psi", counted)
+    table = build_table([5, 2, 0, 1, 40], [1, 1, 3, 0, 0], 9)
+    for alpha in (0.3, np.array([1e-6, 1.0, 1e6])):
+        for which in (1, 2):
+            calls.clear()
+            log_evidence_gradient(table, alpha, which)
+            assert len(calls) == 1, (alpha, which)
 
 
 # --- prior means --------------------------------------------------------------

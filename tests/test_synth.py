@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bayesdiv.synth import (
+    _check_prob_vector,
     build_markov_spec,
     exact_crossentropy,
     exact_dkl,
@@ -142,6 +143,22 @@ def test_sample_multinomial_frequencies_converge():
 def test_sample_multinomial_rejects_non_simplex():
     with pytest.raises(ValueError):
         sample_multinomial(np.array([0.5, 0.6]), 10, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _check_prob_vector([[0.5, 0.5]], "q"), "q must be a 1-d probability vector"),
+    (lambda: _check_prob_vector([1.5, -0.5], "q"), "q must be non-negative and finite"),
+    (lambda: _check_prob_vector([0.5, math.nan], "q"), "q must be non-negative and finite"),
+    (lambda: sample_multinomial([0.5, 0.5], -1), "size must be a non-negative integer"),
+    (lambda: sample_multinomial([0.5, 0.5], 2.5), "size must be a non-negative integer"),
+    (lambda: exact_dkl([0.5, 0.5], [0.25] * 4), "q and t must have equal length"),
+    (lambda: exact_hellinger_sq([0.5, 0.5], [0.25] * 4), "q and t must have equal length"),
+], ids=["2d", "negative", "nan", "size_negative", "size_fraction", "dkl_lengths",
+        "hellinger_lengths"])
+def test_bad_inputs_raise_with_their_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # --- Markov chains ----------------------------------------------------------------
