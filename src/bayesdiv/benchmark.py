@@ -248,6 +248,12 @@ def run_convergence(config):
         except BrokenProcessPool:
             _drop_pool()
             raise
+        # each unpickled row holds its own copy of its size and truth; a chunk
+        # is one repetition, with one truth, so the rows can share both, as
+        # rows made in this process do, which saves a quarter of their memory
+        sizes = {size: size for size in config.size_ladder}
+        chunks = [[row._replace(N=sizes[row.N], true_value=chunk[0].true_value)
+                   for row in chunk] for chunk in chunks]
     else:
         chunks = [_rep_rows(*task) for task in tasks]
     rows = [row for chunk in chunks for row in chunk]

@@ -10,7 +10,10 @@ Bayesian routes:
   [1e-6, 1e6]^2 in (ln alpha, ln beta).  A coarse scan finds where the
   weight lies; end-corrected trapezoid (Gregory) grids over that window
   are doubled until they agree with their every-other-node subgrid.
-  Each level is evaluated tile by tile, so its memory stays bounded.
+  The KL hyper-prior bends along the curve z = ln K; each level's node
+  weights carry the Euler-Maclaurin terms of that bend, so that it costs
+  the rule no accuracy.  Each level is evaluated tile by tile, so its
+  memory stays bounded.
 
 Baselines: pseudo-count plugins (naive / jeffreys / trybula / perks), the
 bias-corrected Z estimator for KL, and the evidence-mixture entropy
@@ -27,6 +30,7 @@ import numpy as np
 
 from .counts import MultiplicityTable, build_table
 from .hyperprior import (
+    kl_hinge,
     log_weight_hellinger,
     log_weight_kl,
     prior_entropy_slope,
@@ -76,6 +80,7 @@ _TILE_NODES = 256     # per axis, a tile of a level spans at most this + 1 nodes
 _QUAD_TOL = 1e-6      # relative agreement of a level with its subgrid
 _DP_TOL = 1e-12       # bracket width in ln alpha of a dp evidence maximum
 _GREGORY_ENDS = np.array([3 / 8, 7 / 6, 23 / 24])   # end-node weights, in steps
+_LAGRANGE_DENOMINATORS = np.array([-6.0, 2.0, -2.0, 6.0])   # prod (m - k), k != m, of 4 nodes
 
 PLUGIN_SCHEMES = ("naive", "jeffreys", "trybula", "perks")
 ESTIMATOR_NAMES = ("dpm", "dp") + PLUGIN_SCHEMES + ("zhang",)
@@ -202,24 +207,89 @@ def _contract(grid, vectors):
     return float(grid)
 
 
-def _tile_sums(w, grids, fine, coarse, near):
+def _tile_sums(w, grids, fine, coarse, near, increments):
     """Weighted sums of one tile with weights ``w``, for ``_level_averages``.
 
     The total weight by each rule, the weight on nodes near the box edge
-    on some axis, then each grid's weighted sum by each rule.  The grids
-    are overwritten.
+    on some axis, then each grid's weighted sum by each rule.
+    ``increments`` holds the tile's sparse weight increments of each rule,
+    as (node indices, values).  The grids are overwritten.
     """
-    sums = [_contract(w, fine), _contract(w, coarse), 0.0]
+    (fine_at, fine_add), (coarse_at, coarse_add) = increments
+    sums = [_contract(w, fine) + fine_add @ w[fine_at],
+            _contract(w, coarse) + coarse_add @ w[coarse_at], 0.0]
     for k in range(len(fine)):   # near on axis k, not near on any before it
         vectors = [f * ~n for f, n in zip(fine[:k], near[:k])]
         sums[2] += _contract(w, vectors + [fine[k] * near[k], *fine[k + 1:]])
+    near_at = np.logical_or.reduce([n[i] for n, i in zip(near, fine_at)])
+    sums[2] += (fine_add * near_at) @ w[fine_at]
     for g in grids:
         g *= w
-        sums += [_contract(g, fine), _contract(g, coarse)]
+        sums += [_contract(g, fine) + fine_add @ g[fine_at],
+                 _contract(g, coarse) + coarse_add @ g[coarse_at]]
     return sums
 
 
-def _level_averages(log_weight, moments, axes):
+def _hinge_weights(hinge, ua, ub):
+    """Increments to the node weights of Gregory's rule on ``ua`` x ``ub`` at a bend.
+
+    ``hinge`` locates on (ln alpha, ln beta) axes where the log weight
+    bends as smooth + max(0, g), g rising along each alpha row (see
+    ``hyperprior.kl_hinge``).  Where g crosses 0, the weight f = F e^max(0, g)
+    jumps in every derivative by that of s = F (e^g - 1), a smooth function
+    that vanishes there and is known on every node from f and g.  With the
+    crossing at the fraction theta of a beta cell of width h, Gregory's rule
+    errs by -sum_k h^k B_k(1 - theta) / k! d^(k-1)s/du^(k-1), with B_k the
+    Bernoulli polynomials: B_2 for the slope jump, as the rule's far end
+    sees the jumped slope too.  The cubic through s on the four nodes
+    around the crossing gives the terms k = 2, 3, 4, as weights on those
+    nodes, in steps.  Returns their (alpha, beta) node indices and values.
+    """
+    rows, j, cols, g = hinge(ua, ub)
+    if not len(rows):
+        return (rows, rows), np.zeros(0)
+    at = (np.arange(len(j)), j - cols[:, 0])   # the crossing cell in each stencil
+    g_lo, g_hi = g[at], g[at[0], at[1] + 1]
+    theta = np.clip(g_lo / (g_lo - g_hi), 0.0, 1.0)[:, None]
+    # the cubic through s on the stencil, in x = steps from the crossing,
+    # enters with its x^(k-1) coefficient times B_k(1 - theta) / k; a node's
+    # Lagrange cubic has the coefficients (e2, -e1, 1) / d, from the sum e1
+    # and the pairwise products e2 of the other three nodes' x
+    x = cols - j[:, None] - theta
+    e1 = x.sum(axis=1, keepdims=True) - x
+    e2 = (x.sum(axis=1, keepdims=True) ** 2 - (x * x).sum(axis=1, keepdims=True)) / 2.0 - x * e1
+    per_s = ((theta * theta - theta + 1.0 / 6.0) / 2.0 * e2
+             + theta * (theta - 0.5) * (theta - 1.0) / 3.0 * e1
+             + ((theta * (theta - 1.0)) ** 2 - 1.0 / 30.0) / 4.0) / _LAGRANGE_DENOMINATORS
+    s_per_f = np.expm1(g) * np.exp(-np.maximum(g, 0.0))
+    add = _gregory_ends(len(ua))[rows, None] * per_s * s_per_f
+    return (np.repeat(rows, 4), cols.ravel()), add.ravel()
+
+
+def _level_hinges(hinge, axes, subgrid=None):
+    """Hinge increments of a level's two rules, for ``_level_averages``.
+
+    Those of Gregory's rule on all nodes of ``axes``, then of its
+    every-other-node subgrid, on the subgrid's own cells and steps.  The
+    subgrid's are those of the rule on all nodes of the level before,
+    ``subgrid``, when given; a subgrid row crosses only where its full
+    row does.
+    """
+    fine = _hinge_weights(hinge, *axes)
+    if subgrid is None:
+        subgrid = _hinge_weights(hinge, *(u[::2] for u in axes)) if len(fine[1]) else fine
+    (rows, cols), add = subgrid
+    return [fine, ((2 * rows, 2 * cols), add)]
+
+
+def _in_tile(increments, tile):
+    """The ``increments`` on nodes of ``tile``, indexed within it."""
+    at, add = increments
+    inside = np.logical_and.reduce([(s.start <= i) & (i < s.stop) for i, s in zip(at, tile)])
+    return tuple(i[inside] - s.start for i, s in zip(at, tile)), add[inside]
+
+
+def _level_averages(log_weight, moments, axes, hinges=None):
     """Posterior averages of ``moments`` on the nodes of one level.
 
     Returns the Gregory averages of each moment grid on all nodes of
@@ -227,12 +297,16 @@ def _level_averages(log_weight, moments, axes):
     weight within one scan step of the box edge.  ``log_weight`` and
     ``moments`` are evaluated on tiles of at most _TILE_NODES + 1 nodes
     per axis, so a level's working memory stays that of one tile however
-    many nodes it has.  Both return new arrays, which this overwrites.
+    many nodes it has.  ``hinges``, if given, holds the sparse weight
+    increments of both rules (``_level_hinges``); each tile adds those on
+    its own nodes.  Both return new arrays, which this overwrites.
     Each tile's sums are taken against its own largest log weight and
     rescaled to the level's largest at the end, so no average depends on
     a shift of the log weight.
     """
     rules = [_axis_rules(u) for u in axes]
+    nothing = (tuple(np.zeros(0, dtype=int) for _ in axes), np.zeros(0))
+    increments = hinges or [nothing, nothing]
     tops, sums = [], []
     for tile in itertools.product(*(_tiles(len(u)) for u in axes)):
         args = [u[s] for u, s in zip(axes, tile)]
@@ -241,14 +315,15 @@ def _level_averages(log_weight, moments, axes):
         tops.append(w.max())
         w -= tops[-1]
         np.exp(w, out=w)
-        sums.append(_tile_sums(w, moments(*args), fine, coarse, near))
+        sums.append(_tile_sums(w, moments(*args), fine, coarse, near,
+                               [_in_tile(inc, tile) for inc in increments]))
     scale = np.exp(np.array(tops) - max(tops))
     fine_w, coarse_w, edge, *grid_sums = scale @ np.array(sums)
     return ([s / fine_w for s in grid_sums[::2]],
             [s / coarse_w for s in grid_sums[1::2]], edge / fine_w)
 
 
-def _quadrature(log_weight, moments, names):
+def _quadrature(log_weight, moments, names, hinge=None):
     """Posterior averages of ``moments`` over the whole box.
 
     Scans for the window, then evaluates the log weight and the moment
@@ -260,13 +335,18 @@ def _quadrature(log_weight, moments, names):
     change of a returned number between the level and its subgrid, and
     ``converged`` says whether the last level met _QUAD_TOL.  ``names``
     label the axes in the diagnostics, in the order of ``log_weight``'s
-    arguments, and set their number.
+    arguments, and set their number.  ``hinge``, if given, locates the
+    bend of the log weight on each level's two axes, for the node weights
+    of ``_level_hinges``: left alone, the KL prior's bend would hold
+    Gregory's rule to O(h^2).
     """
     window, stars, top, edges = _scan(log_weight, len(names))
-    nodes = _FIRST_NODES
+    nodes, hinges = _FIRST_NODES, None
     while True:
         axes = [np.linspace(lo, hi, nodes) for lo, hi in window]
-        fine, coarse, edge_mass = _level_averages(log_weight, moments, axes)
+        if hinge:   # the level before has this one's subgrid for its nodes
+            hinges = _level_hinges(hinge, axes, hinges[0] if hinges else None)
+        fine, coarse, edge_mass = _level_averages(log_weight, moments, axes, hinges)
         converged = all(abs(f - c) <= _QUAD_TOL * abs(f)
                         for f, c in zip(fine, coarse))
         if converged or nodes >= _MAX_NODES:
@@ -369,17 +449,19 @@ def _canonical_orientation(table):
     return swapped, ("beta", "alpha")
 
 
-def _dpm_report(table, log_prior, moment_grids, names=("alpha", "beta")):
+def _dpm_report(table, log_prior, moment_grids, names=("alpha", "beta"), hinge=None):
     check_K(check_table(table).K)
+    log_hinge = None if hinge is None else (
+        lambda ua, ub: hinge(np.exp(ua), np.exp(ub), table.K))
     out, diag = _quadrature(
         _dpm_log_weight(table, log_prior),
-        lambda ua, ub: moment_grids(table, np.exp(ua), np.exp(ub)), names)
+        lambda ua, ub: moment_grids(table, np.exp(ua), np.exp(ub)), names, log_hinge)
     return EstimateReport(*out, diagnostics=diag)
 
 
 def estimate_dkl_dpm(table):
     """Mixture estimate of D_KL(q||t) with its posterior spread."""
-    return _dpm_report(table, log_weight_kl, kl_moment_grids)
+    return _dpm_report(table, log_weight_kl, kl_moment_grids, hinge=kl_hinge)
 
 
 def estimate_hellinger_dpm(table):

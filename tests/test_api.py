@@ -73,6 +73,8 @@ _CHECKED = {
         lambda v: hyperprior.bhattacharyya_factor_log_slope(v, 4),
     "hyperprior.log_weight_kl[alpha]": lambda v: hyperprior.log_weight_kl(v, 1.0, 4),
     "hyperprior.log_weight_kl[beta]": lambda v: hyperprior.log_weight_kl(1.0, v, 4),
+    "hyperprior.kl_hinge[alpha]": lambda v: hyperprior.kl_hinge(v, [1.0, 2.0, 3.0, 4.0], 4),
+    "hyperprior.kl_hinge[beta]": lambda v: hyperprior.kl_hinge([1.0], v, 4),
     "hyperprior.log_weight_hellinger[alpha]":
         lambda v: hyperprior.log_weight_hellinger(v, 1.0, 4),
     "hyperprior.log_weight_hellinger[beta]":
@@ -86,6 +88,7 @@ _CHECKED_K = {
     "hyperprior.bhattacharyya_factor_log_slope":
         lambda: hyperprior.bhattacharyya_factor_log_slope(1.0, 1),
     "hyperprior.log_weight_kl": lambda: hyperprior.log_weight_kl(1.0, 1.0, 1),
+    "hyperprior.kl_hinge": lambda: hyperprior.kl_hinge([1.0], [1.0, 2.0, 3.0, 4.0], 1),
     "hyperprior.log_weight_hellinger": lambda: hyperprior.log_weight_hellinger(1.0, 1.0, 1),
 }
 

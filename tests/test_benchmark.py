@@ -176,6 +176,16 @@ def test_run_deterministic_across_calls_and_workers():
     assert rows_a == rows_c
 
 
+def test_pooled_rows_share_each_repetitions_truth_and_the_ladder_sizes():
+    # as rows made in this process do: each unpickled row held its own copy
+    from dataclasses import replace
+
+    config = replace(SMALL, size_ladder=(300, 400), workers=2)
+    for rows in (run_convergence(replace(config, workers=1)), run_convergence(config)):
+        assert len({id(r.true_value) for r in rows}) == config.repetitions
+        assert {id(r.N) for r in rows} == {id(size) for size in config.size_ladder}
+
+
 def _blas_threads():
     """OpenBLAS thread count of every copy loaded in the calling process."""
     libs = benchmark._openblas_libraries()

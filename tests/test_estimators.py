@@ -27,7 +27,7 @@ from bayesdiv.estimators import (
     estimate_hellinger_plugin,
     maximize_log_posterior,
 )
-from bayesdiv.hyperprior import log_weight_kl
+from bayesdiv.hyperprior import kl_hinge, log_weight_kl
 from bayesdiv.posterior import (
     HyperParams,
     entropy_grid,
@@ -48,6 +48,7 @@ from _oracles import (
     evidence_mpmath,
     expand_counts,
     random_count_pair,
+    row_split_kl,
     uniform_chain,
     whole_box_mixture,
     wide_tables,
@@ -360,12 +361,17 @@ def test_mixture_average_stays_within_its_grid():
 
 
 @pytest.mark.parametrize("tile, tiles", [(16, 4), (15, 5)])   # 15 cuts at odd nodes
-@pytest.mark.parametrize("dims", [1, 2])
-def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims, tile, tiles):
+@pytest.mark.parametrize("dims, hinged", [pytest.param(1, False, id="1"),
+                                          pytest.param(2, False, id="2"),
+                                          pytest.param(2, True, id="2-hinge")])
+def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims, hinged, tile, tiles):
     table = _dirichlet_table(40, 30, seed=4)[0]
+    hinge = hinges = None
     if dims == 2:
         log_weight = _dpm_log_weight(table, log_weight_kl)
         grids = lambda ua, ub: kl_moment_grids(table, np.exp(ua), np.exp(ub))  # noqa: E731
+        if hinged:
+            hinge = lambda ua, ub: kl_hinge(np.exp(ua), np.exp(ub), table.K)  # noqa: E731
     else:
         log_weight = lambda ua: log_evidence_grid(table, np.exp(ua), 1) + ua  # noqa: E731
         grids = lambda ua: [entropy_grid(table, np.exp(ua), 1)]  # noqa: E731
@@ -376,11 +382,18 @@ def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims, ti
         return grids(*axes)
 
     axes = [np.linspace(lo, hi, 65) for lo, hi in _scan(log_weight, dims)[0]]
-    whole = _level_averages(log_weight, moments, axes)
+    if hinged:
+        hinges = estimators._level_hinges(hinge, axes)
+    whole = _level_averages(log_weight, moments, axes, hinges)
     assert seen == [[65] * dims]
     monkeypatch.setattr(estimators, "_TILE_NODES", tile)
+    if hinged:   # some crossing cell of each rule has its two nodes in two tiles
+        cuts = np.array([s.start for s in estimators._tiles(65)])
+        for stride in (1, 2):
+            j = stride * hinge(*(u[::stride] for u in axes))[1][:, None]
+            assert ((j < cuts) & (cuts <= j + stride)).any(), stride
     seen.clear()
-    tiled = _level_averages(log_weight, moments, axes)
+    tiled = _level_averages(log_weight, moments, axes, hinges)
     assert len(seen) == tiles ** dims and max(map(max, seen)) <= tile + 1
     for got, want in zip([*tiled[0], *tiled[1], tiled[2]], [*whole[0], *whole[1], whole[2]]):
         assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
@@ -424,6 +437,41 @@ def test_dpm_and_nsb_match_whole_box_oracle():
                     2 * err, 1e-5 * want_std), (label, report.posterior_std, want_std)
 
 
+@pytest.mark.parametrize("N", [25, 50])
+def test_dpm_kl_matches_a_row_split_oracle(N):
+    # the oracle splits each alpha row's beta integral at the KL prior's
+    # bend; the hinge terms hold the library's rule to it without a split,
+    # and at N=25 without the 1025-node levels that the bend once needed
+    for seed in range(31, 36):
+        table = _dirichlet_table(400, N, seed)[0]
+        report = estimate_dkl_dpm(table)
+        mean, std = row_split_kl(table)
+        diag = report.diagnostics
+        assert report.value == pytest.approx(mean, rel=1e-6, abs=0), seed
+        assert report.posterior_std == pytest.approx(std, rel=1e-6, abs=0), seed
+        assert diag["converged"] is True, seed
+        if N == 25:
+            assert max(diag["grid_bins_alpha"], diag["grid_bins_beta"]) <= 257, seed
+
+
+@pytest.mark.parametrize("K", [2, 3, 400, 10**4, 10**7])
+def test_hinge_terms_keep_every_node_weight_positive(K):
+    # positive weights keep every average within its grid's range, so that
+    # KL >= 0 holds by construction; the coarsest whole-box levels have the
+    # widest cells, so the largest hinge terms
+    box = (math.log(1e-6), math.log(1e6))
+    hinge = lambda ua, ub: kl_hinge(np.exp(ua), np.exp(ub), K)  # noqa: E731
+    for nodes in (9, 17, 33, 65):
+        axes = [np.linspace(*box, nodes)] * 2
+        rules = [estimators._axis_rules(u) for u in axes]
+        for k, (at, add) in enumerate(estimators._level_hinges(hinge, axes)):
+            plain = np.outer(rules[0][k], rules[1][k])   # all nodes, then the subgrid
+            corrected = plain.copy()
+            np.add.at(corrected, at, add)
+            assert len(add) > 0 and (plain[at] > 0).all(), (nodes, k)
+            assert (corrected[plain > 0] > 0).all(), (nodes, k)
+
+
 def test_dpm_matches_dp_at_large_samples():
     table, _, _ = _dirichlet_table(400, 40_000, 77)
     dpm = estimate_dkl_dpm(table)
@@ -457,8 +505,9 @@ def test_dpm_report_contract():
 
 
 def test_converged_flags_the_tables_that_stop_at_the_node_cap():
-    # the KL prior's kink at z = ln K keeps these two KL estimates short of
-    # the tolerance at the last level allowed
+    # <D^2> grows like 1/beta^2 toward the box edge beta = 1e-6, where these
+    # two flat posteriors keep their weight; its fine-to-subgrid gap falls
+    # about 15-fold per doubling, yet is still 3e-6 at the last level allowed
     for table in (build_table([], [], 400), build_table([3, 0], [0, 3], 2)):
         kl = estimate_dkl_dpm(table).diagnostics
         assert kl["converged"] is False and kl["grid_bins_alpha"] == 1025

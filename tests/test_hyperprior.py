@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from bayesdiv.hyperprior import (
     _log_g,
     bhattacharyya_factor_log_slope,
+    kl_hinge,
     log_weight_hellinger,
     log_weight_kl,
     prior_crossentropy_slope,
@@ -199,6 +200,28 @@ def test_kl_weight_phi_branches():
     below = _phi_part(1.0, beta_for(1.0, log_k * (1 - eps)), K)
     above = _phi_part(1.0, beta_for(1.0, log_k * (1 + eps)), K)
     assert below == pytest.approx(above, abs=1e-5)
+
+
+@pytest.mark.parametrize("K", [2, 400, 10**7])
+def test_kl_hinge_is_where_the_weight_bends(K):
+    # ln phi(z) = -ln z - ln ln K + max(0, g): kl_hinge's g, on the four
+    # nodes around each row's one sign change, is that bend, to the
+    # rounding of its plain digamma differences
+    box = (math.log(1e-6), math.log(1e6))
+    a, b = np.exp(np.linspace(*box, 41))[:, None], np.exp(np.linspace(*box, 37))[None, :]
+    rows, j, cols, g = kl_hinge(a[:, 0], b[0], K)
+    z = prior_mean_crossentropy(b, K) - prior_mean_entropy(a, K)
+    full = math.log(math.log(K)) - np.log(z)
+    bend = _phi_part(a, b, K) + np.log(z) + math.log(math.log(K))
+    np.testing.assert_allclose(bend, np.maximum(full, 0.0), rtol=0, atol=1e-12)
+    crosses = (full[:, :-1] <= 0) & (full[:, 1:] > 0)
+    assert 0 < len(rows) and crosses.sum(axis=1).max() == 1
+    assert np.array_equal(rows, np.flatnonzero(crosses.any(axis=1)))
+    assert np.array_equal(j, crosses[rows].argmax(axis=1))
+    assert ((cols[:, 0] <= j) & (j + 1 <= cols[:, 3])).all()
+    assert np.array_equal(np.diff(cols, axis=1), np.ones((len(rows), 3), dtype=int))
+    assert 0 <= cols.min() and cols.max() < b.size
+    np.testing.assert_allclose(g, full[rows[:, None], cols], rtol=0, atol=1e-13)
 
 
 # --- Hellinger weight -------------------------------------------------------------
