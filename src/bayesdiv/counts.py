@@ -252,11 +252,28 @@ def _comment_lines(text):
     return comments
 
 
+def _id_dtype(text):
+    """A str dtype for a TSV's ids: as wide as the most UTF-8 bytes between
+    a line start or tab and the next tab, which no id's code points exceed.
+    A line with a w-character id takes w + 3 bytes or more, so were all ids
+    as wide as the widest, they would take under 4 array bytes per byte of
+    text.  Over 16 bytes a byte, the widest id is over four mean lines long
+    (one long id, or a long comment holding a tab): the walker reads it."""
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    stops = np.flatnonzero((data == 9) | (data == 10))   # tabs and line ends
+    tabs = data[stops] == 9
+    width = int((np.diff(stops, prepend=-1) - 1)[tabs].max(initial=1))
+    if 4 * width * np.count_nonzero(tabs) > 16 * data.size:
+        raise ValueError("ids too wide for a fixed-width array")
+    return f"U{width}"
+
+
 def _bulk_read(path, tsv):
     """Read a count file with numpy's C reader -> what _walk returns, or
     None where only the walker can decide.  The reader parses both layouts'
     counts as int64; a count that only int() reads ("1_0", non-ASCII digits)
-    leaves the file to the walker, which reads it to the same table."""
+    leaves the file to the walker, which reads it to the same table.  A
+    TSV's ids come back as a str array sorted by id, its counts alongside."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -265,21 +282,22 @@ def _bulk_read(path, tsv):
             return None
         found = [k for k in map(_header_k, comments if tsv else ()) if k is not None]
         header_k = found[-1] if found else None   # the last "#K=" header counts
+        key = _id_dtype(text) if tsv else np.int64
         with warnings.catch_warnings():
             # as errors, loadtxt's warnings (no data rows; in numpy 1.x, a
             # count read through a float) leave the file to the walker
             warnings.simplefilter("error")
-            rows = np.loadtxt(path, dtype=[("key", object if tsv else np.int64),
-                                           ("count", np.int64)],
+            rows = np.loadtxt(path, dtype=[("key", key), ("count", np.int64)],
                               delimiter="\t" if tsv else ",", comments="#",
                               ndmin=1, encoding="utf-8-sig")
-        keys, counts = rows["key"], rows["count"].copy()   # a view keeps each TSV id alive
+        keys, counts = rows["key"], rows["count"].copy()   # a view keeps the rows alive
         if counts.min() < 0 or (not tsv and keys.min() < 0):
             return None
         if tsv:
-            keys = np.char.strip(keys.astype(str))
-            ordered = np.sort(keys, kind="stable")   # an empty id sorts first
-            if not ordered[0] or np.any(ordered[1:] == ordered[:-1]):
+            keys = np.char.strip(keys)
+            order = np.argsort(keys, kind="stable")
+            keys, counts = keys[order], counts[order]   # an empty id sorts first
+            if not keys[0] or np.any(keys[1:] == keys[:-1]):
                 return None
     except (ValueError, OverflowError, Warning):
         return None
@@ -312,17 +330,20 @@ def load_count_files(path1, path2=None, k=None):
     if k is not None and header_k is not None and int(k) != header_k:
         raise ValueError(f"{path1 if k1 is not None else path2}: "
                          f"has #K={header_k} but --k={k}")
-    # each file's ids are distinct; its counts land at their ids' columns.
-    # The id arrays are dropped once copied: at K=1e5 that lowers the peak
-    # memory of `bayesdiv estimate` by about 6 MB.  return_index makes
-    # np.unique sort stably, which merges the ordered runs that file ids
-    # often come in (timsort).
+    # each file's ids are distinct; its counts land at their ids' ranks.
+    # Bulk-read ids come sorted, so the stable argsort (timsort) merges two
+    # runs.  Dropping the id arrays early lowers the peak memory.
     split = len(ids1)
     ids = np.concatenate((ids1, ids2))
     del ids1, ids2
-    keys, _, index = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    new = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
     del ids
-    counts = np.zeros((2, len(keys)), dtype=np.int64)
-    counts[0, index[:split]] = n
-    counts[1, index[split:]] = m
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    counts = np.zeros((2, np.count_nonzero(new)), dtype=np.int64)
+    counts[0, rank[:split]] = n
+    counts[1, rank[split:]] = m
     return build_table(counts[0], counts[1], header_k if k is None else int(k))

@@ -442,7 +442,7 @@ def _count_file(draw, tsv):
     two lines that may break the grammar, anywhere, and any line endings."""
     rows = draw(st.integers(0, 8))
     if tsv:
-        keys = draw(st.lists(st.text("abc\u00e9", min_size=1, max_size=3),
+        keys = draw(st.lists(st.text("abc\u00e9", min_size=1, max_size=12),
                              min_size=rows, max_size=rows, unique=True))
     else:
         keys = [str(c) for c in draw(st.lists(st.integers(0, 20), min_size=rows, max_size=rows))]
@@ -524,8 +524,8 @@ def test_counts_only_int_reads_leave_a_tsv_to_the_walker(tmp_path, monkeypatch,
 def test_a_wide_tsv_pair_loads_without_holding_its_parsed_rows(tmp_path):
     # perfbench's layout: K=1e5, N=M=1e6 from Dirichlet(1), nonzero rows
     # only (about 91 000 a file).  A count column that viewed the parsed
-    # rows would keep every id of both files alive as a Python string
-    # through the join, about 11 MB more than the 22 MB peak
+    # rows would keep both files' rows alive through the join; the load
+    # peaks near 13 MB
     K = 100_000
     rng = np.random.default_rng(0)
     paths = []
@@ -541,6 +541,77 @@ def test_a_wide_tsv_pair_loads_without_holding_its_parsed_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert (table.K, table.N, table.M) == (K, 1_000_000, 1_000_000)
+    assert peak < 26e6, peak
+
+
+def _forbid_the_walker(monkeypatch):
+    def walk(path, *_):
+        raise AssertionError(f"{path} was handed to the line walker")
+
+    monkeypatch.setattr(counts_module, "_walk", walk)
+
+
+def test_ids_of_any_length_and_script_load_exactly_on_the_bulk_path(tmp_path, monkeypatch):
+    # ids are matched exactly once stripped, however long: "a" * 300 sets
+    # both files' str widths, and each "\u00e9\u548c" is 2 letters in 5 bytes
+    long, script = "a" * 300, "\u00e9\u548c" * 30
+    f1 = _write_lines(tmp_path, "a.tsv", ["#K=12", f"{long}\t3", f"{long[:-1]}b\t1",
+                                          f"{script}\t2", " a \t1", "aa\t4", "a b\t5"])
+    f2 = _write_lines(tmp_path, "b.tsv", [f" {long} \t7", f"{long[:-1]}\t6", f"{script}\t1",
+                                          f"{script[:-1]}\t2", "a\t2", " aa\t9", "a b \t8",
+                                          "a  b\t1"])
+    want = _outcome(_ref_load, f1, f2)
+    _forbid_the_walker(monkeypatch)
+    assert _outcome(load_count_files, f1, f2) == want
+    assert _rows(load_count_files(f1, f2)) == {
+        (0, 0): 3, (0, 1): 1, (0, 2): 1, (0, 6): 1, (1, 0): 1,
+        (1, 2): 1, (2, 1): 1, (3, 7): 1, (4, 9): 1, (5, 8): 1}
+
+
+def test_ids_of_mixed_length_stay_on_the_bulk_path(tmp_path, monkeypatch):
+    # names of 5 to 60 characters, as species names run: the widest is
+    # under four mean lines long, so no file needs the walker
+    rng = np.random.default_rng(5)
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    names = set()
+    for size in rng.integers(5, 61, 2000).tolist():
+        word = "".join(rng.choice(letters, size))
+        names.add(f"{word[:size // 2]} {word[size // 2 + 1:]}")   # "genus species"
+    names = rng.permutation(sorted(names)).tolist()
+    assert {len(name) for name in names} == set(range(5, 61))
+    f1, f2 = (_write_lines(tmp_path, f"{name}.tsv", [f"#K={len(names)}", *(
+        f"{key}\t{c}" for key, c in zip(keys, rng.integers(0, 30, len(keys)).tolist()))])
+              for name, keys in (("a", names[:1500]), ("b", names[500:])))
+    want = _outcome(_ref_load, f1, f2)
+    _forbid_the_walker(monkeypatch)
+    assert _outcome(load_count_files, f1, f2) == want
+
+
+@pytest.mark.parametrize("line", ["x" * 5000 + "\t1", "# " + "x" * 5000 + "\tnote"],
+                         ids=["long id", "long comment holding a tab"])
+def test_a_skewed_tsv_goes_to_the_walker_within_bounded_memory(tmp_path, monkeypatch, line):
+    # one 5000-byte span before a tab among 91 000 short ids would make a
+    # U5000 array of about 1.8 GB; that file is walked instead
+    K = 100_000
+    rng = np.random.default_rng(0)
+    paths = []
+    for name, extra in (("a.tsv", [line]), ("b.tsv", [])):
+        counts = rng.multinomial(1_000_000, rng.dirichlet(np.ones(K)))
+        idx = np.flatnonzero(counts)
+        paths.append(_write_lines(tmp_path, name, [f"#K={K}", *(
+            f"c{i}\t{c}" for i, c in zip(idx.tolist(), counts[idx].tolist())), *extra]))
+    want = _outcome(_ref_load, *paths)
+    handed = []
+    walk = counts_module._walk
+    monkeypatch.setattr(counts_module, "_walk",
+                        lambda path, *args: handed.append(path) or walk(path, *args))
+    tracemalloc.start()
+    try:
+        got = _outcome(load_count_files, *paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got, handed) == (want, paths[:1])
     assert peak < 26e6, peak
 
 
