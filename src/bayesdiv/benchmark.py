@@ -160,9 +160,10 @@ def _rep_rows(config, chain_laws, rep, rep_seed):
 def _openblas_libraries():
     """Every OpenBLAS copy mapped into this process, as ctypes handles.
 
-    numpy and scipy each ship their own copy (``numpy.libs`` and
-    ``scipy.libs``).  They are found through /proc/self/maps; where that
-    file does not exist, the list is empty.
+    numpy ships one (``numpy.libs``); scipy ships another (``scipy.libs``),
+    mapped only where a caller imported scipy, as bayesdiv itself does not.
+    They are found through /proc/self/maps; where that file does not
+    exist, the list is empty.
     """
     paths = set()
     try:

@@ -258,14 +258,24 @@ def _id_dtype(text):
     A line with a w-character id takes w + 3 bytes or more, so were all ids
     as wide as the widest, they would take under 4 array bytes per byte of
     text.  Over 16 bytes a byte, the widest id is over four mean lines long
-    (one long id, or a long comment holding a tab): the walker reads it."""
+    (one long id, or a long comment holding a tab): the walker reads it.
+    Only then is the width taken again without the comments, which numpy
+    skips; each "#" here starts one, as ``_comment_lines`` has checked."""
+    width, fits = _id_width(text)
+    if not fits:
+        width, fits = _id_width(re.sub(r"#[^\n]*", "", text))
+    if not fits:
+        raise ValueError("ids too wide for a fixed-width array")
+    return f"U{width}"
+
+
+def _id_width(text):
+    # the widest span before a tab, and whether ids that wide fit the budget
     data = np.frombuffer(text.encode(), dtype=np.uint8)
     stops = np.flatnonzero((data == 9) | (data == 10))   # tabs and line ends
     tabs = data[stops] == 9
     width = int((np.diff(stops, prepend=-1) - 1)[tabs].max(initial=1))
-    if 4 * width * np.count_nonzero(tabs) > 16 * data.size:
-        raise ValueError("ids too wide for a fixed-width array")
-    return f"U{width}"
+    return width, 4 * width * np.count_nonzero(tabs) <= 16 * data.size
 
 
 def _bulk_read(path, tsv):

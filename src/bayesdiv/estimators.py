@@ -43,7 +43,7 @@ from .posterior import (
     entropy_grid,
     hellinger_sq_grid,
     kl_moment_grids,
-    log_evidence,
+    log_evidence,       # likewise: dp takes both samples' evidence in one grid call
     log_evidence_grid,
     log_evidence_gradient,
 )
@@ -122,8 +122,11 @@ def _dpm_log_weight(table, log_prior):
     def log_weight(ua, ub):
         a, b = np.exp(ua), np.exp(ub)
         out = log_prior(a[:, None], b[None, :], table.K)
-        out += (log_evidence_grid(table, a, 1) + ua)[:, None]
-        out += log_evidence_grid(table, b, 2) + ub
+        # both samples' evidence from one call
+        evidence = log_evidence_grid(table, np.concatenate([a, b]),
+                                     np.repeat([1, 2], [len(a), len(b)]))
+        out += (evidence[:len(a)] + ua)[:, None]
+        out += evidence[len(a):] + ub
         return out
 
     return log_weight
@@ -369,25 +372,27 @@ def _mean_std(averages):
     return (first, *(math.sqrt(max(0.0, s - first * first)) for s in second))
 
 
-def _evidence_argmax(table, which):
-    """ln alpha of one sample's evidence maximum, bracketed to _DP_TOL.
+def _evidence_search(u, log_w):
+    """The search for one sample's evidence maximum, as a generator.
 
-    The bracket [lo, hi] keeps the gradient rising at lo and not at hi,
-    unless that end is the box edge.  A whole-box scan brackets the best
-    node.  From there, secant steps in ln alpha on s = alpha g(alpha),
-    through the last two iterates, move an iterate whose gradient sign
-    shrinks the bracket.  The first iterate, a repeated s, and a step
-    that leaves the bracket or fails to halve move to the bracket's
-    midpoint instead.  Once a step falls below _DP_TOL / 2, a probe on
-    each side closes the bracket.
+    It yields each list of concentrations where it needs the evidence
+    gradient, is sent the gradients there, and returns the ln alpha of the
+    maximum, bracketed to _DP_TOL.  The bracket [lo, hi] keeps the
+    gradient rising at lo and not at hi, unless that end is the box edge.
+    The best node of the whole-box scan, ``log_w`` on the ln alpha nodes
+    ``u``, and its neighbours give the first bracket.  From there, secant
+    steps in ln alpha on s = alpha g(alpha), through the last two
+    iterates, move an iterate whose gradient sign shrinks the bracket.
+    The first iterate, a repeated s, and a step that leaves the bracket or
+    fails to halve move to the bracket's midpoint instead.  Once a step
+    falls below _DP_TOL / 2, a probe on each side closes the bracket.
     """
-    u = np.linspace(_LOG_LO, _LOG_HI, _SCAN_NODES)
-    i = int(np.argmax(log_evidence_grid(table, np.exp(u), which)))
+    i = int(np.argmax(log_w))
     lo, hi = float(u[max(i - 1, 0)]), float(u[min(i + 1, len(u) - 1)])
     x, last_step, x0, s0 = float(u[i]), hi - lo, math.nan, math.nan
     while True:
         a = math.exp(x)
-        g = log_evidence_gradient(table, a, which)
+        g, = yield [a]
         if g > 0.0:
             lo = x
         else:
@@ -399,7 +404,7 @@ def _evidence_argmax(table, which):
         x0, s0 = x, s
         if abs(step) < 0.5 * _DP_TOL:
             probes = x + step + np.array([-0.4, 0.4]) * _DP_TOL
-            left, right = log_evidence_gradient(table, np.exp(probes), which)
+            left, right = yield np.exp(probes).tolist()
             if left > 0.0 >= right:
                 return x + step
         elif lo < x + step < hi and abs(step) < 0.5 * last_step:
@@ -408,24 +413,53 @@ def _evidence_argmax(table, which):
         x, last_step = 0.5 * (lo + hi), hi - lo
 
 
+def _evidence_argmax(table, samples):
+    """ln alpha of each listed sample's evidence maximum (``_evidence_search``).
+
+    The searches advance in lockstep: one evidence call scans the whole
+    box for all of them, then one gradient call per step serves every
+    search still running.
+    """
+    u = np.linspace(_LOG_LO, _LOG_HI, _SCAN_NODES)
+    scans = log_evidence_grid(table, np.tile(np.exp(u), len(samples)),
+                              np.repeat(samples, len(u))).reshape(len(samples), -1)
+    searches = {s: _evidence_search(u, scan) for s, scan in zip(samples, scans)}
+    asks = {s: next(search) for s, search in searches.items()}
+    found = {}
+    while asks:
+        grads = log_evidence_gradient(table, [a for ask in asks.values() for a in ask],
+                                      [s for s, ask in asks.items() for _ in ask]).tolist()
+        for s, ask in list(asks.items()):
+            try:
+                asks[s] = searches[s].send(grads[:len(ask)])
+            except StopIteration as end:
+                found[s] = end.value
+                del asks[s]
+            del grads[:len(ask)]
+    return [found[s] for s in samples]
+
+
 def maximize_log_posterior(table):
     """Per-sample evidence maximizers, the concentrations of dp.
 
     Works in (ln alpha, ln beta) over the box [1e-6, 1e6]^2, where the
     evidence separates: each coordinate's maximum is bracketed to 1e-12
     in ln alpha on the sign of the analytic evidence gradient (see
-    ``_evidence_argmax``).  A sample with at most one observation has a
-    flat evidence, 1/K at every concentration: its coordinate is pinned
-    at 1.0 and flagged as boundary.
+    ``_evidence_search``), the two searches sharing their evidence calls.
+    A sample with at most one observation has a flat evidence, 1/K at
+    every concentration: its coordinate is pinned at 1.0 and flagged as
+    boundary.
     """
     check_K(check_table(table).K)
-    out = []
-    for which, total in ((1, table.N), (2, table.M)):
-        u_star = _evidence_argmax(table, which) if total > 1 else 0.0
-        out.append((math.exp(u_star), total < 2 or _at_edge(u_star)))
-    (a_star, edge_a), (b_star, edge_b) = out
-    f = log_evidence(table, a_star, 1) + log_evidence(table, b_star, 2)
-    return PosteriorMax(a_star, b_star, f, edge_a, edge_b)
+    totals = {1: table.N, 2: table.M}
+    searched = [s for s in (1, 2) if totals[s] > 1]
+    u_star = {1: 0.0, 2: 0.0}
+    if searched:
+        u_star.update(zip(searched, _evidence_argmax(table, searched)))
+    a_star, b_star = math.exp(u_star[1]), math.exp(u_star[2])
+    edges = [totals[s] < 2 or _at_edge(u_star[s]) for s in (1, 2)]
+    f = float(log_evidence_grid(table, [a_star, b_star], [1, 2]).sum())
+    return PosteriorMax(a_star, b_star, f, *edges)
 
 
 def _canonical_orientation(table):

@@ -18,11 +18,10 @@ bend of the KL weight on such a grid, for the quadrature's node weights.
 """
 
 import numpy as np
-from scipy import special as _sp
 
-from .posterior import check_K, prior_mean_crossentropy, prior_mean_entropy
+from .posterior import check_K
 from .specfun import (_SERIES_FROM, _half_ratio_slope, check_positive, delta_psi,
-                      float_if_scalar, log_half_ratio, trigamma)
+                      float_if_scalar, log_half_ratio, stacked, trigamma)
 
 __all__ = [
     "prior_entropy_slope",
@@ -48,6 +47,12 @@ def prior_crossentropy_slope(beta, K):
     return K * trigamma(K * b) - trigamma(b)
 
 
+def _prior_means(a, b, K):
+    """The prior mean entropy A(alpha) and cross-entropy B(beta) (see
+    ``posterior.prior_mean_entropy``), from one ``delta_psi`` call."""
+    return stacked(delta_psi, (a * K + 1.0, a + 1.0), (b * K, b))
+
+
 def log_weight_kl(alpha, beta, K):
     """ln of the KL flattening weight rho(alpha, beta), up to a constant.
 
@@ -55,13 +60,13 @@ def log_weight_kl(alpha, beta, K):
     density in z = B(beta) - A(alpha): rho(z) ~ 1/z made log-uniform,
     divided by the overlap length min(z, ln K) of the (A, B) strip at
     fixed z.  The min bends the weight along the curve z = ln K; see
-    ``kl_hinge`` for how a quadrature accounts for it.
+    ``kl_hinge`` for how a quadrature accounts for it.  Both axes share
+    one ``delta_psi`` and one ``trigamma`` call.
     """
     a = check_positive(alpha, "alpha")
     b = check_positive(beta, "beta")
     K = check_K(K)
-    mean_a = prior_mean_entropy(a, K)
-    mean_b = prior_mean_crossentropy(b, K)
+    mean_a, mean_b = _prior_means(a, b, K)
     # A < ln K < B for every alpha and beta, so this is z > 0 everywhere
     if not np.min(mean_b) > np.max(mean_a):
         raise ValueError("prior mean cross-entropy must exceed mean entropy")
@@ -69,8 +74,10 @@ def log_weight_kl(alpha, beta, K):
     # ln phi(z) = -ln z - ln min(z, ln K)
     out = np.minimum(log_z, np.log(np.log(K)))
     out += log_z
-    out = np.log(prior_entropy_slope(a, K)) - out
-    out += np.log(-prior_crossentropy_slope(b, K))
+    # the slopes of prior_entropy_slope and prior_crossentropy_slope
+    up_a, a1, up_b, b1 = stacked(trigamma, (K * a + 1.0,), (a + 1.0,), (K * b,), (b,))
+    out = np.log(K * up_a - a1) - out
+    out += np.log(-(K * up_b - b1))
     return float_if_scalar(out, alpha, beta)
 
 
@@ -89,12 +96,8 @@ def kl_hinge(alpha, beta, K):
     a = check_positive(alpha, "alpha")
     b = check_positive(beta, "beta")
     K = check_K(K)
-    # A and B here only place the bend and give g near it, where z ~ ln K;
-    # plain digamma differences agree there with prior_mean_entropy and
-    # prior_mean_crossentropy to 3e-14 over the whole box, at a tenth of
-    # their cost per call, which each quadrature level pays
-    mean_a = _sp.digamma(K * a + 1.0) - _sp.digamma(a + 1.0)
-    mean_b = _sp.digamma(K * b) - _sp.digamma(b)
+    # the prior means of log_weight_kl, both axes from one delta_psi call
+    mean_a, mean_b = _prior_means(a, b, K)
     # g > 0 where B < A + ln K; -B ascends, so that starts at this index
     first = np.searchsorted(-mean_b, -(mean_a + np.log(K)), side="right")
     rows = np.flatnonzero((first > 0) & (first < len(mean_b)))
@@ -109,7 +112,8 @@ def kl_hinge(alpha, beta, K):
 def _log_g(x, K):
     # ln[sqrt(K) B(1/2, Kx) / B(1/2, x)], with each ln B(1/2, y) written as
     # ln Gamma(1/2) - (1/2) ln y - log_half_ratio(y)
-    return log_half_ratio(x) - log_half_ratio(K * x)
+    h, h_K = stacked(log_half_ratio, (x,), (K * x,))
+    return h - h_K
 
 
 def bhattacharyya_factor_log_slope(x, K):
@@ -122,10 +126,16 @@ def bhattacharyya_factor_log_slope(x, K):
     """
     xv = check_positive(x, "x")
     K = check_K(K)
-    s = np.minimum(xv, _SERIES_FROM)
-    near = K * delta_psi(K * s + 1.0, K * s + 0.5) - delta_psi(s + 1.0, s + 0.5)
-    b = np.maximum(xv, _SERIES_FROM)
-    out = np.where(xv >= _SERIES_FROM, _half_ratio_slope(b) - K * _half_ratio_slope(K * b), near)
+    far = xv >= _SERIES_FROM
+    out = np.empty(xv.shape)
+    if not far.all():   # each element takes the one branch it needs
+        s = xv[~far]
+        up, down = stacked(delta_psi, (K * s + 1.0, K * s + 0.5), (s + 1.0, s + 0.5))
+        out[~far] = K * up - down
+    if far.any():
+        b = xv[far]
+        slope, slope_K = stacked(_half_ratio_slope, (b,), (K * b,))
+        out[far] = slope - K * slope_K
     return float_if_scalar(out, x)
 
 
@@ -138,14 +148,17 @@ def log_weight_hellinger(alpha, beta, K):
     a = check_positive(alpha, "alpha")
     b = check_positive(beta, "beta")
     K = check_K(K)
-    lg_a, lg_b = _log_g(a, K), _log_g(b, K)
+    # each helper runs once, on both axes
+    axes = np.concatenate([a.ravel(), b.ravel()])
+    lg = _log_g(axes, K)
+    lg_a, lg_b = lg[:a.size].reshape(a.shape), lg[a.size:].reshape(b.shape)
     z = -np.expm1(lg_a + lg_b)                       # 1 - g g, in (0, 1)
     # rounded addition and expm1 are monotone, so the axis extremes bound z
     if not (-np.expm1(np.max(lg_a) + np.max(lg_b)) > 0
             and -np.expm1(np.min(lg_a) + np.min(lg_b)) < 1):
         raise ValueError("1 - g(alpha) g(beta) must lie in (0, 1)")
-    slope_a = bhattacharyya_factor_log_slope(a, K)
-    slope_b = bhattacharyya_factor_log_slope(b, K)
+    slope = bhattacharyya_factor_log_slope(axes, K)
+    slope_a, slope_b = slope[:a.size].reshape(a.shape), slope[a.size:].reshape(b.shape)
     if not (np.all(slope_a > 0) and np.all(slope_b > 0)):
         raise ValueError("g must increase in alpha and in beta")
     # |dg/dx| = g * dlng/dx; target density rho(z)(1-z)^2/(z(2-z)) with

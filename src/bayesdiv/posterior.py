@@ -26,13 +26,14 @@ before any row arithmetic, so that arithmetic rounds as a row-by-row
 evaluation would.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .counts import MultiplicityTable
-from .specfun import check_positive, delta_psi, float_if_scalar, log_half_ratio, trigamma
+from .specfun import (_betaln, _own_parts, check_positive, delta_psi, float_if_scalar,
+                      log_half_ratio, stacked, trigamma)
 
 __all__ = [
     "HyperParams",
@@ -130,14 +131,92 @@ def prior_mean_crossentropy(beta, K):
 
 # --- evidence -------------------------------------------------------------
 
-def _evidence_terms(table, alphas, which_sample, name):
-    """Checked alphas, and the (T,) n, w and c of one sample's evidence terms
-    w ln B(c alpha, n): the levels' (c = 1, w = -nu), then the total's (K, 1)."""
+# a table's evidence terms and small grid layouts, each made once: a table never
+# changes and compares by identity, and its entry goes when the table does
+_TERMS = weakref.WeakKeyDictionary()
+
+
+def _evidence_terms(table, which_sample, gradient=False):
+    """One sample's evidence terms w ln B(c alpha, n) as (T,) arrays n, w, c:
+    the levels' (c = 1, w = -nu), then the total's (K, 1).  With
+    ``gradient`` every term comes with its weight -w c in the alpha
+    derivative; else only the terms with n >= 1 come, as ln B(x, 0) is
+    infinite.
+    """
     levels, total = _axis(table, which_sample)
-    n = np.append(levels.values, total).astype(float)
-    w = np.append(-levels.nu.astype(float), 1.0)
-    c = np.append(np.ones(len(levels.values)), float(table.K))
-    return _grid_vec(alphas, name), n, w, c
+    terms = _TERMS.setdefault(table, {})
+    key = (which_sample, gradient)
+    if key not in terms:
+        n = np.append(levels.values, total).astype(float)
+        w = np.append(-levels.nu.astype(float), 1.0)
+        c = np.append(np.ones(len(levels.values)), float(table.K))
+        seen = n > 0
+        terms[key] = (n, -(w * c), c) if gradient else (n[seen], w[seen], c[seen])
+    return terms[key]
+
+
+def _evidence_sums(table, alphas, which_sample, name, gradient):
+    """Each alpha's sum over its own sample's evidence terms, one kernel call for all.
+
+    ``which_sample`` is 1, 2, or an array like ``alphas`` naming each
+    alpha's sample.  The sum is of w ln B(c alpha, n) over the terms with
+    n >= 1, or with ``gradient`` of its alpha derivative -w c (psi(c alpha
+    + n) - psi(c alpha)) over every term.  Each alpha's terms form a row,
+    summed as a one-sample grid sums it.
+    """
+    check_table(table)
+    alphas = _grid_vec(alphas, name)
+    which = np.asarray(which_sample)
+    blocks = []   # per sample: where its alphas are, its terms, and the sample
+    for sample in (1, 2):
+        at = np.flatnonzero(which == sample) if which.ndim else (
+            np.arange(len(alphas)) if which == sample else ())
+        if len(at):
+            blocks.append((at, *_evidence_terms(table, sample, gradient), sample))
+    if sum(len(at) for at, *_ in blocks) < len(alphas):
+        raise ValueError("which_sample must be 1 or 2")
+    out = np.zeros(len(alphas))
+    blocks = [block for block in blocks if len(block[1])]   # a sample with no terms sums to 0
+    if not blocks:
+        return out
+    if gradient:
+        rows = [(c * alphas[at, None], n) for at, n, _, c, _ in blocks]   # x = c alpha, and n
+        values = delta_psi(np.concatenate([(x + n).ravel() for x, n in rows]),
+                           np.concatenate([x.ravel() for x, _ in rows]))
+    else:
+        # what betaln needs of one argument alone is formed once per concentration
+        # alpha and K alpha and per count, and read off on the grid
+        once = np.concatenate([alphas, table.K * alphas] + [n for _, n, *_ in blocks])
+        values = _betaln(_own_parts(once), *_grid_layout(table, len(alphas), blocks))
+    lo = 0
+    for at, n, w, *_ in blocks:
+        out[at] = (w * values[lo:lo + len(at) * len(n)].reshape(len(at), len(n))).sum(axis=1)
+        lo += len(at) * len(n)
+    return out
+
+
+def _grid_layout(table, rows, blocks):
+    """Where ``_evidence_sums`` reads each grid element's x and n off its values:
+    ``rows`` concentrations alpha, their K alpha, then each block's counts.  A
+    row's x is alpha on its level terms and K alpha on its last term, the
+    total's.  A small layout of blocks of consecutive rows, as every caller
+    in the package makes, is kept with the table's terms."""
+    key = ("layout", rows) + tuple((sample, int(at[0]), len(at)) for at, *_, sample in blocks)
+    cache = _TERMS[table] if all(at[-1] - at[0] + 1 == len(at) for at, *_ in blocks) else {}
+    if key not in cache:
+        at_x, at_n, lo = [], [], 2 * rows
+        for at, n, *_ in blocks:
+            at_x.append((at[:, None] + rows * (np.arange(len(n)) == len(n) - 1)).ravel())
+            at_n.append(np.tile(np.arange(lo, lo + len(n)), len(at)))
+            lo += len(n)
+        layout = np.concatenate(at_x), np.concatenate(at_n)
+        if layout[0].size > _LAYOUT_KEPT:
+            return layout
+        cache[key] = layout
+    return cache[key]
+
+
+_LAYOUT_KEPT = 8192   # grid elements of the largest layout kept with a table
 
 
 def log_evidence_grid(table, alphas, which_sample=1):
@@ -150,11 +229,11 @@ def log_evidence_grid(table, alphas, which_sample=1):
     level and then ln B(K alpha, N), summed over those with n >= 1 (ln B(x, 0)
     is infinite).  Differencing ln Gamma values of size N ln N would lose the
     digits that separate alphas on a flat evidence; this form keeps them.
-    The dropped constant cancels in every posterior ratio.
+    The dropped constant cancels in every posterior ratio.  ``which_sample``
+    may also be an array like ``alphas`` naming each alpha's sample: both
+    samples' evidence then comes from one ``betaln`` call.
     """
-    alphas, n, w, c = _evidence_terms(table, alphas, which_sample, "alphas")
-    seen = n > 0
-    return (w[seen] * _sp.betaln(c[seen] * alphas[:, None], n[seen])).sum(axis=1)
+    return _evidence_sums(table, alphas, which_sample, "alphas", False)
 
 
 def log_evidence(table, alpha, which_sample=1):
@@ -166,11 +245,10 @@ def log_evidence_gradient(table, alpha, which_sample=1):
     """d/d(alpha) of log_evidence, cancellation-safe: a term w ln B(c alpha, n)
     adds w c (psi(c alpha) - psi(c alpha + n)), exactly 0 at n = 0, so one
     ``delta_psi`` call serves them all.  ``alpha`` may be a scalar or a 1-d
-    array; the result has its shape.
+    array, and ``which_sample`` an array like it, as in
+    ``log_evidence_grid``; the result has alpha's shape.
     """
-    av, n, w, c = _evidence_terms(table, alpha, which_sample, "alpha")
-    x = c * av[:, None]
-    out = (-(w * c) * delta_psi(x + n, x)).sum(axis=1)
+    out = _evidence_sums(table, alpha, which_sample, "alpha", True)
     return float_if_scalar(out.reshape(np.shape(alpha)), alpha)
 
 
@@ -190,12 +268,11 @@ def hellinger_sq_grid(table, alphas, betas):
     # is sqrt(x_i/X) exp(h(x_i) - h(X)) with h = log_half_ratio; likewise
     # for t.  Both ratios are <= 1, so no overflow.
     i, j = n_levels.index, m_levels.index
+    hx, hX, hy, hY = stacked(log_half_ratio, (x,), (X,), (y,), (Y,))
     r = table.nu * np.sqrt(x / X[:, None]).take(i, axis=1) * np.exp(
-        log_half_ratio(x) - log_half_ratio(X)[:, None]
+        hx - hX[:, None]
     ).take(i, axis=1)
-    s = np.sqrt(y / Y[:, None]) * np.exp(
-        log_half_ratio(y) - log_half_ratio(Y)[:, None]
-    )
+    s = np.sqrt(y / Y[:, None]) * np.exp(hy - hY[:, None])
     return 1.0 - r @ s.take(j, axis=1).T
 
 
@@ -231,10 +308,12 @@ def kl_moment_grids(table, alphas, betas):
     K = table.K
 
     XX1 = X * (X + 1.0)
-    p = (delta_psi(x + 1.0, X[:, None] + 2.0) + np.log(K)).take(i, axis=1)   # (A, U)
-    psi1 = trigamma(x + 2.0).take(i, axis=1)                                # (A, U)
+    p, t = stacked(delta_psi, (x + 1.0, X[:, None] + 2.0), (y, Y[:, None]))
+    psi1, psi1_X, psi1_Y, psi1_y = stacked(trigamma, (x + 2.0,), (X + 2.0,), (Y,), (y,))
+    p = (p + np.log(K)).take(i, axis=1)                                     # (A, U)
+    psi1 = psi1.take(i, axis=1)                                             # (A, U)
     x = x.take(i, axis=1)                                                   # (A, U)
-    t = delta_psi(y, Y[:, None]) + np.log(K)                                # (B, Um)
+    t = t + np.log(K)                                                       # (B, Um)
     t2 = (t * t).take(j, axis=1)                                            # (B, U)
     t = t.take(j, axis=1)                                                   # (B, U)
     nx = nu[None, :] * x                            # (A, U), sums to X
@@ -248,12 +327,12 @@ def kl_moment_grids(table, alphas, betas):
     out *= out
     out /= XX1[:, None]
     row = nx * (p * p + 2.0 * p + 1.0 / (x + 1.0) + (x + 1.0) * psi1)
-    out += (row.sum(axis=1) / XX1 - trigamma(X + 2.0))[:, None]
-    out -= trigamma(Y)
+    out += (row.sum(axis=1) / XX1 - psi1_X)[:, None]
+    out -= psi1_Y
     w = nx / XX1[:, None]
     out += (-2.0 * w * (p + 1.0)) @ t.T
     out += w @ t2.T
-    out += (w * (x + 1.0)) @ trigamma(y).take(j, axis=1).T
+    out += (w * (x + 1.0)) @ psi1_y.take(j, axis=1).T
     return mean, out
 
 

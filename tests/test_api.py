@@ -1,8 +1,12 @@
-"""Public names: what the demos import exists, and every __all__ resolves."""
+"""Public names: what the demos import exists, and every __all__ resolves;
+the package imports numpy alone."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,18 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 MODULES = ["bayesdiv"] + [
     f"bayesdiv.{info.name}" for info in pkgutil.iter_modules(bayesdiv.__path__)
 ]
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    # the special functions are numpy kernels; scipy serves only the tests,
+    # as an oracle.  A fresh interpreter sees every module the import pulls in
+    src = str(Path(bayesdiv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, bayesdiv, bayesdiv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _bayesdiv_imports(path):

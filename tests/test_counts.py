@@ -524,8 +524,8 @@ def test_counts_only_int_reads_leave_a_tsv_to_the_walker(tmp_path, monkeypatch,
 def test_a_wide_tsv_pair_loads_without_holding_its_parsed_rows(tmp_path):
     # perfbench's layout: K=1e5, N=M=1e6 from Dirichlet(1), nonzero rows
     # only (about 91 000 a file).  A count column that viewed the parsed
-    # rows would keep both files' rows alive through the join; the load
-    # peaks near 13 MB
+    # rows would keep both files' rows alive through the join, and ids read
+    # as Python objects peaked at 22.3 MB; the load peaks near 13.5 MB
     K = 100_000
     rng = np.random.default_rng(0)
     paths = []
@@ -541,7 +541,7 @@ def test_a_wide_tsv_pair_loads_without_holding_its_parsed_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert (table.K, table.N, table.M) == (K, 1_000_000, 1_000_000)
-    assert peak < 26e6, peak
+    assert peak < 16e6, peak
 
 
 def _forbid_the_walker(monkeypatch):
@@ -587,11 +587,14 @@ def test_ids_of_mixed_length_stay_on_the_bulk_path(tmp_path, monkeypatch):
     assert _outcome(load_count_files, f1, f2) == want
 
 
-@pytest.mark.parametrize("line", ["x" * 5000 + "\t1", "# " + "x" * 5000 + "\tnote"],
+@pytest.mark.parametrize("line, walked", [("x" * 5000 + "\t1", 1),
+                                          ("# " + "x" * 5000 + "\tnote", 0)],
                          ids=["long id", "long comment holding a tab"])
-def test_a_skewed_tsv_goes_to_the_walker_within_bounded_memory(tmp_path, monkeypatch, line):
+def test_a_skewed_tsv_goes_to_the_walker_within_bounded_memory(tmp_path, monkeypatch, line, walked):
     # one 5000-byte span before a tab among 91 000 short ids would make a
-    # U5000 array of about 1.8 GB; that file is walked instead
+    # U5000 array of about 1.8 GB; that file is walked instead.  A comment
+    # becomes no id, so the width is taken again without it: that file
+    # stays on the bulk path
     K = 100_000
     rng = np.random.default_rng(0)
     paths = []
@@ -611,7 +614,7 @@ def test_a_skewed_tsv_goes_to_the_walker_within_bounded_memory(tmp_path, monkeyp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (got, handed) == (want, paths[:1])
+    assert (got, handed) == (want, paths[:walked])
     assert peak < 26e6, peak
 
 

@@ -269,7 +269,8 @@ def test_extreme_corners_stay_finite():
 def test_kl_weight_rejects_entropy_above_crossentropy(monkeypatch):
     import bayesdiv.hyperprior as hp
 
-    monkeypatch.setattr(hp, "prior_mean_entropy", lambda a, K: a * 0.0 + 100.0)
+    means = hp._prior_means   # one call gives A(alpha) and B(beta); A is broken here
+    monkeypatch.setattr(hp, "_prior_means", lambda a, b, K: (a * 0.0 + 100.0, means(a, b, K)[1]))
     with pytest.raises(ValueError, match="cross-entropy"):
         log_weight_kl(1.0, 1.0, 400)
 
