@@ -101,7 +101,7 @@ def _as_count_vector(counts, name):
         lo, hi = arr[[arr.argmin(), arr.argmax()]].tolist()
         if not 0 <= lo <= hi <= _MAX_COUNT:
             raise ValueError(f"{name} must lie in 0..{_MAX_COUNT}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _total(counts, name):
@@ -130,17 +130,21 @@ def build_table(counts1, counts2, K):
     K = int(K)
     if len(c1) > K:
         raise ValueError(f"{len(c1)} categories listed but K={K}")
-    # one (0, 0) entry stands for the K - len unlisted categories; counts
-    # are non-negative, so its row sorts first
-    n_values, n_rank = np.unique(np.append(c1, 0), return_inverse=True)
-    m_values, m_rank = np.unique(np.append(c2, 0), return_inverse=True)
-    # one int64 key per category orders the (n, m) pairs; it packs the two
-    # ranks, not the counts, which reach 2^63 - 1: a rank is below the
-    # vector length, itself below 2^31 (as _total assumes)
-    width = len(m_values)
-    key = np.sort(n_rank * width + m_rank)
+    # one (0, 0) entry, first in order, stands for the K - len unlisted
+    # categories.  An int64 key per category orders the (n, m) pairs: it packs
+    # the counts, or where they do not fit their ranks (below 2^31, as _total assumes)
+    n, m = np.append(c1, 0), np.append(c2, 0)
+    ranked = (int(n.max()) + 1) * (int(m.max()) + 1) > _MAX_COUNT
+    if ranked:
+        (n_values, n), (m_values, m) = (np.unique(c, return_inverse=True) for c in (n, m))
+    width = int(m.max()) + 1
+    key = n * width
+    key += m
+    key.sort()
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    n, m = n_values[key[start] // width], m_values[key[start] % width]
+    n, m = np.divmod(key[start], width)
+    if ranked:
+        n, m = n_values[n], m_values[m]
     nu = np.diff(np.append(start, len(key)))
     nu[0] += K - len(c1) - 1
     if nu[0] == 0:
@@ -203,9 +207,9 @@ def _header_k(comment):
 def _walk(path, tsv):
     """Read a count file line by line -> (keys, counts, header_k).
 
-    keys are a TSV's category ids (an object array, which keeps each id
-    exactly) or a CSV's n counts; counts is the other column; header_k is
-    a TSV's last "#K=" header, or None.
+    keys are a TSV's category ids, UTF-8 encoded (an object array, which
+    keeps each id exactly) or a CSV's n counts; counts is the other column;
+    header_k is a TSV's last "#K=" header, or None.
     """
     keys, counts, header_k = [], [], None
     seen = set()
@@ -226,6 +230,7 @@ def _walk(path, tsv):
             if key in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate category {key!r}")
             seen.add(key)
+            key = key.encode()
         else:
             key = _parse_count(key, path, lineno)
         keys.append(key)
@@ -253,29 +258,43 @@ def _comment_lines(text):
 
 
 def _id_dtype(text):
-    """A str dtype for a TSV's ids: as wide as the most UTF-8 bytes between
-    a line start or tab and the next tab, which no id's code points exceed.
-    A line with a w-character id takes w + 3 bytes or more, so were all ids
-    as wide as the widest, they would take under 4 array bytes per byte of
-    text.  Over 16 bytes a byte, the widest id is over four mean lines long
+    """A bytes dtype for a TSV's ids, and whether the file holds a byte that
+    ``_strips_as_text`` looks for: the dtype is as wide as the most UTF-8
+    bytes between a line start or tab and the next tab, which no id
+    exceeds.  A line with a w-byte id takes w + 3 bytes or more, so were all
+    ids as wide as the widest, they would take under 1 array byte per byte
+    of text.  Over 4 bytes a byte, the widest id is over four mean lines long
     (one long id, or a long comment holding a tab): the walker reads it.
     Only then is the width taken again without the comments, which numpy
     skips; each "#" here starts one, as ``_comment_lines`` has checked."""
-    width, fits = _id_width(text)
+    width, fits, odd = _id_width(text)
     if not fits:
-        width, fits = _id_width(re.sub(r"#[^\n]*", "", text))
+        width, fits, _ = _id_width(re.sub(r"#[^\n]*", "", text))
     if not fits:
         raise ValueError("ids too wide for a fixed-width array")
-    return f"U{width}"
+    return f"S{width}", odd
 
 
 def _id_width(text):
-    # the widest span before a tab, and whether ids that wide fit the budget
+    # the widest span before a tab, whether it fits the budget, and any _unlike_ascii byte
     data = np.frombuffer(text.encode(), dtype=np.uint8)
     stops = np.flatnonzero((data == 9) | (data == 10))   # tabs and line ends
     tabs = data[stops] == 9
     width = int((np.diff(stops, prepend=-1) - 1)[tabs].max(initial=1))
-    return width, 4 * width * np.count_nonzero(tabs) <= 16 * data.size
+    return width, width * np.count_nonzero(tabs) <= 4 * data.size, _unlike_ascii(data).any()
+
+
+def _unlike_ascii(data):   # 0x1c-0x1f, or a byte of a non-ASCII character
+    return (data - 0x1C < 4) | (data >= 0x80)
+
+
+def _strips_as_text(ids):
+    """Whether str.strip keeps each bytes.strip-ped UTF-8 id; only an id with an
+    ``_unlike_ascii`` first or last byte is decoded."""
+    data = ids.view(np.uint8).reshape(len(ids), -1)
+    last = data[np.arange(len(ids)), np.char.str_len(ids) - 1]   # an empty id's is a pad, 0
+    edged = ids[_unlike_ascii(data[:, 0]) | _unlike_ascii(last)].tolist()
+    return all(key.decode() == key.decode().strip() for key in edged)
 
 
 def _bulk_read(path, tsv):
@@ -283,28 +302,35 @@ def _bulk_read(path, tsv):
     None where only the walker can decide.  The reader parses both layouts'
     counts as int64; a count that only int() reads ("1_0", non-ASCII digits)
     leaves the file to the walker, which reads it to the same table.  A
-    TSV's ids come back as a str array sorted by id, its counts alongside."""
+    TSV's ids come back as bytes, read as latin-1 text (a character a byte),
+    sorted by id (UTF-8 sorts by code point), its counts alongside."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        comments = _comment_lines(text)
-        if comments is None or "\0" in text:   # a str array drops trailing NULs
+        bom = text.startswith("\ufeff")   # U+FEFF, 3 bytes that begin some UTF-8 files
+        comments = _comment_lines(text[bom:])
+        if comments is None or "\0" in text:   # a bytes array drops trailing NULs
             return None
         found = [k for k in map(_header_k, comments if tsv else ()) if k is not None]
         header_k = found[-1] if found else None   # the last "#K=" header counts
-        key = _id_dtype(text) if tsv else np.int64
+        key, odd = _id_dtype(text) if tsv else (np.int64, False)
+        skip = int(tsv and bom and "#" in text[:text.find("\n")])   # a comment after the mark
         with warnings.catch_warnings():
             # as errors, loadtxt's warnings (no data rows; in numpy 1.x, a
             # count read through a float) leave the file to the walker
             warnings.simplefilter("error")
             rows = np.loadtxt(path, dtype=[("key", key), ("count", np.int64)],
-                              delimiter="\t" if tsv else ",", comments="#",
-                              ndmin=1, encoding="utf-8-sig")
+                              delimiter="\t" if tsv else ",", comments="#", skiprows=skip,
+                              ndmin=1, encoding="latin1" if tsv else "utf-8-sig")
         keys, counts = rows["key"], rows["count"].copy()   # a view keeps the rows alive
         if counts.min() < 0 or (not tsv and keys.min() < 0):
             return None
         if tsv:
+            if bom and not skip:
+                keys[0] = keys[0][3:]   # the mark stays with the first id
             keys = np.char.strip(keys)
+            if odd and not _strips_as_text(keys):
+                return None
             order = np.argsort(keys, kind="stable")
             keys, counts = keys[order], counts[order]   # an empty id sorts first
             if not keys[0] or np.any(keys[1:] == keys[:-1]):
@@ -356,4 +382,5 @@ def load_count_files(path1, path2=None, k=None):
     counts = np.zeros((2, np.count_nonzero(new)), dtype=np.int64)
     counts[0, rank[:split]] = n
     counts[1, rank[split:]] = m
+    del order, rank
     return build_table(counts[0], counts[1], header_k if k is None else int(k))

@@ -19,11 +19,10 @@ A row term depends on the first sample only through n and on the second
 only through m, so every special function is evaluated on one sample's
 distinct counts, the table's levels: on (A, Un) or (B, Um) arrays, where
 Un and Um lie far below the U rows of a large table.  The evidence and
-the entropy, sums over one sample, contract with the nu summed per level.
-The two-sample grids gather the level columns to the rows by the level
-index and keep their (A,U)x(U,B) products.  Each factor is gathered
-before any row arithmetic, so that arithmetic rounds as a row-by-row
-evaluation would.
+the entropy, sums over one sample, contract with the nu summed per level,
+as do the KL moments' one-sample sums.  Their cross terms sum the m-side
+factors with nu over each n level's rows; the squared Hellinger grid
+gathers both sides to the rows and keeps its (A,U)x(U,B) product.
 """
 
 import weakref
@@ -297,42 +296,41 @@ def kl_moment_grids(table, alphas, betas):
     with d = sum_i x_i (p_i - t_i).  As psi(X+2) = psi(X+1) + 1/(X+1), the
     same d gives <D> = d/X + 1/(X+1).  With x_i = n_i + alpha affine in
     alpha, d is an alpha row less an alpha-affine beta column; expanding
-    the single sum in powers of t_i leaves an alpha row and three
-    (A,U)x(U,B) matrix products.  p and t are both shifted by ln K, which
+    the single sum in powers of t_i leaves sums over one sample's levels and
+    three cross terms sum_u nu_u f(n_u) g(m_u), which lie together in one
+    (A, 3Un)x(3Un, B) product: rows sort by n, so the nu g of each n level's
+    rows are summed in one pass.  p and t are both shifted by ln K, which
     cancels in every p - t, so that near the uniform distribution the
     expanded terms stay small and lose few digits.
     """
     alphas, x, X, n_levels, y, Y, m_levels = _params(table, alphas, betas)
-    i, j = n_levels.index, m_levels.index
     nu = table.nu.astype(float)
-    K = table.K
+    n_nu, m_nu = n_levels.nu.astype(float), m_levels.nu.astype(float)
 
     XX1 = X * (X + 1.0)
     p, t = stacked(delta_psi, (x + 1.0, X[:, None] + 2.0), (y, Y[:, None]))
     psi1, psi1_X, psi1_Y, psi1_y = stacked(trigamma, (x + 2.0,), (X + 2.0,), (Y,), (y,))
-    p = (p + np.log(K)).take(i, axis=1)                                     # (A, U)
-    psi1 = psi1.take(i, axis=1)                                             # (A, U)
-    x = x.take(i, axis=1)                                                   # (A, U)
-    t = t + np.log(K)                                                       # (B, Um)
-    t2 = (t * t).take(j, axis=1)                                            # (B, U)
-    t = t.take(j, axis=1)                                                   # (B, U)
-    nx = nu[None, :] * x                            # (A, U), sums to X
+    p += np.log(table.K)                                                    # (A, Un)
+    t += np.log(table.K)                                                    # (B, Um)
 
     # d = sum_u nu_u x_u p_u - (t . nu n + alpha t . nu), an (A, B) difference
-    out = np.multiply.outer(alphas, t @ nu)
-    out += t @ (nu * table.n)
-    np.subtract((nx * p).sum(axis=1)[:, None], out, out=out)
+    out = np.multiply.outer(alphas, t @ m_nu)
+    out += t @ np.bincount(m_levels.index, nu * table.n, len(m_nu))
+    np.subtract(((x * p) @ n_nu)[:, None], out, out=out)
     mean = out / X[:, None]
     mean += (1.0 / (X + 1.0))[:, None]
     out *= out
     out /= XX1[:, None]
-    row = nx * (p * p + 2.0 * p + 1.0 / (x + 1.0) + (x + 1.0) * psi1)
-    out += (row.sum(axis=1) / XX1 - psi1_X)[:, None]
+    row = x * (p * p + 2.0 * p + 1.0 / (x + 1.0) + (x + 1.0) * psi1)
+    out += ((row @ n_nu) / XX1 - psi1_X)[:, None]
     out -= psi1_Y
-    w = nx / XX1[:, None]
-    out += (-2.0 * w * (p + 1.0)) @ t.T
-    out += w @ t2.T
-    out += (w * (x + 1.0)) @ psi1_y.take(j, axis=1).T
+    # cross terms sum_u nu_u f(n_u) g(m_u): nu g summed over each n level's rows
+    w = x / XX1[:, None]
+    f = np.stack((-2.0 * w * (p + 1.0), w, w * (x + 1.0)), axis=2)          # (A, Un, 3)
+    g = np.stack((t, t * t, psi1_y), axis=1).T.take(m_levels.index, axis=0)  # (U, 3, B)
+    g *= nu[:, None, None]
+    starts = np.flatnonzero(np.diff(n_levels.index, prepend=-1))
+    out += f.reshape(len(alphas), -1) @ np.add.reduceat(g, starts).reshape(-1, len(Y))
     return mean, out
 
 

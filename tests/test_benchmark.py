@@ -222,14 +222,21 @@ def test_a_broken_pool_raises_once_and_is_forked_afresh():
     run_convergence(replace(SMALL, workers=2))
     pool = benchmark._shared_pool(2)
     victim = next(iter(pool._processes.values()))
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=30)
-    assert not victim.is_alive()
-    with pytest.raises(BrokenProcessPool):
-        run_convergence(replace(SMALL, workers=2))
-    assert benchmark._shared is None
-    assert run_convergence(replace(SMALL, workers=2)) == run_convergence(SMALL)
-    assert benchmark._shared_pool(2) is not pool
+    try:
+        os.kill(victim.pid, signal.SIGKILL)
+        # the pool's own thread may reap the victim first: until that thread
+        # records the exit code, is_alive() here still reads True
+        deadline = time.monotonic() + 30
+        while victim.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not victim.is_alive()
+        with pytest.raises(BrokenProcessPool):
+            run_convergence(replace(SMALL, workers=2))
+        assert benchmark._shared is None
+        assert run_convergence(replace(SMALL, workers=2)) == run_convergence(SMALL)
+        assert benchmark._shared_pool(2) is not pool
+    finally:
+        benchmark._drop_pool()   # a failure here leaves no broken pool to later tests
 
 
 def test_no_pool_worker_outlives_the_process():

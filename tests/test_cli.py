@@ -4,6 +4,7 @@ Every test calls ``main(argv)`` in process and checks the exit code plus
 whatever landed on stdout or in the output file.
 """
 
+import itertools
 import json
 import warnings
 from dataclasses import fields
@@ -27,6 +28,15 @@ def _pair_csv(tmp_path, name, n, m):
     path = tmp_path / name
     path.write_text("\n".join(f"{a},{b}" for a, b in zip(n, m)) + "\n")
     return str(path)
+
+
+def _assert_same_bytes(path_a, path_b):
+    """Byte equality of two output files; a failure names the first five
+    lines that differ, as each file has them."""
+    a, b = path_a.read_bytes(), path_b.read_bytes()
+    lines = itertools.zip_longest(a.splitlines(), b.splitlines())
+    differ = [f"line {i}: {x!r} != {y!r}" for i, (x, y) in enumerate(lines, 1) if x != y]
+    assert a == b, f"{path_a.name} and {path_b.name} differ:\n" + "\n".join(differ[:5])
 
 
 def _run_json(capsys, argv):
@@ -189,7 +199,7 @@ def test_convergence_workers_flag_does_not_change_output(tmp_path, capsys):
     out_b = tmp_path / "b.csv"
     assert main(["convergence", *CONV_FLAGS, "--out", str(out_a)]) == 0
     assert main(["convergence", *CONV_FLAGS, "--workers", "2", "--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+    _assert_same_bytes(out_a, out_b)
 
 
 def test_convergence_defaults_are_the_config_defaults(tmp_path, monkeypatch):
@@ -386,7 +396,7 @@ def test_nstar_workers_flag_does_not_change_output(tmp_path, capsys):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main([*flags, "--out", str(out_a)]) == 0
     assert main([*flags, "--workers", "2", "--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+    _assert_same_bytes(out_a, out_b)
 
 
 def test_nstar_requires_out(capsys):
