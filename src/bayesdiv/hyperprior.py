@@ -25,7 +25,6 @@ from .specfun import (_SERIES_FROM, _half_ratio_slope, check_positive, delta_psi
 
 __all__ = [
     "prior_entropy_slope",
-    "prior_crossentropy_slope",
     "log_weight_kl",
     "kl_hinge",
     "bhattacharyya_factor_log_slope",
@@ -38,13 +37,6 @@ def prior_entropy_slope(alpha, K):
     a = check_positive(alpha, "alpha")
     K = check_K(K)
     return K * trigamma(K * a + 1.0) - trigamma(a + 1.0)
-
-
-def prior_crossentropy_slope(beta, K):
-    """dB/dbeta = K psi_1(K beta) - psi_1(beta); negative (B decreases)."""
-    b = check_positive(beta, "beta")
-    K = check_K(K)
-    return K * trigamma(K * b) - trigamma(b)
 
 
 def _prior_means(a, b, K):
@@ -74,7 +66,7 @@ def log_weight_kl(alpha, beta, K):
     # ln phi(z) = -ln z - ln min(z, ln K)
     out = np.minimum(log_z, np.log(np.log(K)))
     out += log_z
-    # the slopes of prior_entropy_slope and prior_crossentropy_slope
+    # dA/dalpha (prior_entropy_slope) and dB/dbeta = K psi_1(K beta) - psi_1(beta)
     up_a, a1, up_b, b1 = stacked(trigamma, (K * a + 1.0,), (a + 1.0,), (K * b,), (b,))
     out = np.log(K * up_a - a1) - out
     out += np.log(-(K * up_b - b1))

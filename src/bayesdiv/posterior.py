@@ -130,8 +130,8 @@ def prior_mean_crossentropy(beta, K):
 
 # --- evidence -------------------------------------------------------------
 
-# a table's evidence terms and small grid layouts, each made once: a table never
-# changes and compares by identity, and its entry goes when the table does
+# a table's evidence term sets, each made once: a table never changes and
+# compares by identity, and its entry goes when the table does
 _TERMS = weakref.WeakKeyDictionary()
 
 
@@ -166,12 +166,12 @@ def _evidence_sums(table, alphas, which_sample, name, gradient):
     check_table(table)
     alphas = _grid_vec(alphas, name)
     which = np.asarray(which_sample)
-    blocks = []   # per sample: where its alphas are, its terms, and the sample
+    blocks = []   # per sample: where its alphas are, and its terms
     for sample in (1, 2):
         at = np.flatnonzero(which == sample) if which.ndim else (
             np.arange(len(alphas)) if which == sample else ())
         if len(at):
-            blocks.append((at, *_evidence_terms(table, sample, gradient), sample))
+            blocks.append((at, *_evidence_terms(table, sample, gradient)))
     if sum(len(at) for at, *_ in blocks) < len(alphas):
         raise ValueError("which_sample must be 1 or 2")
     out = np.zeros(len(alphas))
@@ -179,14 +179,14 @@ def _evidence_sums(table, alphas, which_sample, name, gradient):
     if not blocks:
         return out
     if gradient:
-        rows = [(c * alphas[at, None], n) for at, n, _, c, _ in blocks]   # x = c alpha, and n
+        rows = [(c * alphas[at, None], n) for at, n, _, c in blocks]   # x = c alpha, and n
         values = delta_psi(np.concatenate([(x + n).ravel() for x, n in rows]),
                            np.concatenate([x.ravel() for x, _ in rows]))
     else:
         # what betaln needs of one argument alone is formed once per concentration
         # alpha and K alpha and per count, and read off on the grid
         once = np.concatenate([alphas, table.K * alphas] + [n for _, n, *_ in blocks])
-        values = _betaln(_own_parts(once), *_grid_layout(table, len(alphas), blocks))
+        values = _betaln(_own_parts(once), *_grid_layout(len(alphas), blocks))
     lo = 0
     for at, n, w, *_ in blocks:
         out[at] = (w * values[lo:lo + len(at) * len(n)].reshape(len(at), len(n))).sum(axis=1)
@@ -194,28 +194,17 @@ def _evidence_sums(table, alphas, which_sample, name, gradient):
     return out
 
 
-def _grid_layout(table, rows, blocks):
+def _grid_layout(rows, blocks):
     """Where ``_evidence_sums`` reads each grid element's x and n off its values:
     ``rows`` concentrations alpha, their K alpha, then each block's counts.  A
     row's x is alpha on its level terms and K alpha on its last term, the
-    total's.  A small layout of blocks of consecutive rows, as every caller
-    in the package makes, is kept with the table's terms."""
-    key = ("layout", rows) + tuple((sample, int(at[0]), len(at)) for at, *_, sample in blocks)
-    cache = _TERMS[table] if all(at[-1] - at[0] + 1 == len(at) for at, *_ in blocks) else {}
-    if key not in cache:
-        at_x, at_n, lo = [], [], 2 * rows
-        for at, n, *_ in blocks:
-            at_x.append((at[:, None] + rows * (np.arange(len(n)) == len(n) - 1)).ravel())
-            at_n.append(np.tile(np.arange(lo, lo + len(n)), len(at)))
-            lo += len(n)
-        layout = np.concatenate(at_x), np.concatenate(at_n)
-        if layout[0].size > _LAYOUT_KEPT:
-            return layout
-        cache[key] = layout
-    return cache[key]
-
-
-_LAYOUT_KEPT = 8192   # grid elements of the largest layout kept with a table
+    total's."""
+    at_x, at_n, lo = [], [], 2 * rows
+    for at, n, *_ in blocks:
+        at_x.append((at[:, None] + rows * (np.arange(len(n)) == len(n) - 1)).ravel())
+        at_n.append(np.tile(np.arange(lo, lo + len(n)), len(at)))
+        lo += len(n)
+    return np.concatenate(at_x), np.concatenate(at_n)
 
 
 def log_evidence_grid(table, alphas, which_sample=1):
@@ -308,7 +297,8 @@ def kl_moment_grids(table, alphas, betas):
     n_nu, m_nu = n_levels.nu.astype(float), m_levels.nu.astype(float)
 
     XX1 = X * (X + 1.0)
-    p, t = stacked(delta_psi, (x + 1.0, X[:, None] + 2.0), (y, Y[:, None]))
+    p, t = stacked(delta_psi, (x + 1.0, np.broadcast_to(X[:, None] + 2.0, x.shape)),
+                   (y, np.broadcast_to(Y[:, None], y.shape)))
     psi1, psi1_X, psi1_Y, psi1_y = stacked(trigamma, (x + 2.0,), (X + 2.0,), (Y,), (y,))
     p += np.log(table.K)                                                    # (A, Un)
     t += np.log(table.K)                                                    # (B, Um)

@@ -43,20 +43,15 @@ def float_if_scalar(out, *args):
 def stacked(fn, *groups):
     """``fn`` called once on several groups of arguments, its result split per group.
 
-    Each group is a tuple of arrays that broadcast together, one per
-    argument of ``fn``.  The groups are laid end to end, so one call pays
-    the kernel's fixed cost for all; each group's part of the result comes
-    back in the group's broadcast shape.
+    Each group is a tuple of arrays of one shape, one per argument of
+    ``fn``; a value that broadcasts comes as an ``np.broadcast_to`` view.
+    The groups are laid end to end, so one call pays the kernel's fixed
+    cost for all; each group's part of the result comes back in the
+    group's shape.
     """
-    shapes = [np.broadcast(*group).shape for group in groups]
+    shapes = [np.shape(group[0]) for group in groups]
     ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-    if all(np.shape(value) == shape for group, shape in zip(groups, shapes) for value in group):
-        args = [np.concatenate([np.ravel(group[i]) for group in groups]) for i in range(len(groups[0]))]
-    else:   # some value broadcasts: lay it out in place
-        args = [np.empty(ends[-1]) for _ in groups[0]]
-        for group, shape, lo, hi in zip(groups, shapes, [0] + ends, ends):
-            for arg, value in zip(args, group):
-                arg[lo:hi].reshape(shape)[...] = value
+    args = [np.concatenate([np.ravel(group[i]) for group in groups]) for i in range(len(groups[0]))]
     out = fn(*args)
     return [out[lo:hi].reshape(shape) for shape, lo, hi in zip(shapes, [0] + ends, ends)]
 
@@ -103,15 +98,13 @@ def _recurrence(steps, term, *args):
     """
     out = np.zeros(steps.shape)
     low = steps > 0.0
-    if low.all():   # every element takes part: no subset to gather
-        low = ...   # Ellipsis takes every element, of any shape
-    elif not low.any():
+    if not low.any():
         return out
-    steps, args = steps[low].ravel(), [a[low].ravel() if np.ndim(a) else a for a in args]
+    steps, args = steps[low], [a[low] if np.ndim(a) else a for a in args]
     k = np.arange(steps.max())[:, None]
     terms = term(k, *args)
     terms *= k < steps   # an element's steps beyond its own add 0
-    out[low] = _reduce_rows(terms, np.add).reshape(out[low].shape)
+    out[low] = _reduce_rows(terms, np.add)
     return out
 
 
@@ -296,14 +289,9 @@ def log_half_ratio(x):
 def _half_ratio(x):
     # each element takes the one branch it needs
     far = x >= _SERIES_FROM
-    if far.all():
-        return _half_ratio_series(x)
-    if not far.any():
-        return _log_gamma_excess(x, 0.5)
     out = np.empty(x.shape)
     out[far] = _half_ratio_series(x[far])
-    near = ~far
-    out[near] = _log_gamma_excess(x[near], 0.5)
+    out[~far] = _log_gamma_excess(x[~far], 0.5)
     return out
 
 

@@ -84,7 +84,6 @@ _CHECKED = {
        for fn in ("dkl_grid", "dkl_squared_grid", "kl_moment_grids", "hellinger_sq_grid")
        for side in ("alphas", "betas")},
     "hyperprior.prior_entropy_slope": lambda v: hyperprior.prior_entropy_slope(v, 4),
-    "hyperprior.prior_crossentropy_slope": lambda v: hyperprior.prior_crossentropy_slope(v, 4),
     "hyperprior.bhattacharyya_factor_log_slope":
         lambda v: hyperprior.bhattacharyya_factor_log_slope(v, 4),
     "hyperprior.log_weight_kl[alpha]": lambda v: hyperprior.log_weight_kl(v, 1.0, 4),
@@ -100,7 +99,6 @@ _CHECKED = {
 _CHECKED_K = {
     "posterior.HyperParams": lambda: posterior.HyperParams(1.0, 1.0, 1),
     "hyperprior.prior_entropy_slope": lambda: hyperprior.prior_entropy_slope(1.0, 1),
-    "hyperprior.prior_crossentropy_slope": lambda: hyperprior.prior_crossentropy_slope(1.0, 1),
     "hyperprior.bhattacharyya_factor_log_slope":
         lambda: hyperprior.bhattacharyya_factor_log_slope(1.0, 1),
     "hyperprior.log_weight_kl": lambda: hyperprior.log_weight_kl(1.0, 1.0, 1),

@@ -12,10 +12,11 @@ from bayesdiv.hyperprior import (
     kl_hinge,
     log_weight_hellinger,
     log_weight_kl,
-    prior_crossentropy_slope,
     prior_entropy_slope,
 )
 from bayesdiv.posterior import prior_mean_crossentropy, prior_mean_entropy
+
+from _oracles import prior_crossentropy_slope
 
 
 # --- prior-mean slopes -------------------------------------------------------

@@ -157,21 +157,24 @@ def test_log_evidence_gradient_accepts_alpha_vectors():
 
 def test_evidence_batch_elements_equal_their_scalar_calls():
     # each element is its own row's sum, so it rounds as the scalar call at
-    # its alpha does; every second sample holds one observation or none
+    # its alpha and sample does, also where the batch's samples interleave;
+    # one sample holds one observation (and a zero level) or none
     rng = np.random.default_rng(21)
     alphas = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 25))
+    mixed = np.resize([1, 2, 2, 1, 2, 1], len(alphas))
     for _ in range(8):
         n, _, K = random_count_pair(rng, max_k=400, max_count=10**6)
         one = np.zeros(K, dtype=np.int64)
         one[int(rng.integers(0, K))] = 1
-        for m in (one, np.zeros(K, dtype=np.int64)):
-            table = build_table(n, m, K)
-            for which in (1, 2):
+        for pair in ((n, one), (n, np.zeros(K, dtype=np.int64)), (one, n)):
+            table = build_table(*pair, K)
+            for which in (1, 2, mixed):
                 grid = log_evidence_grid(table, alphas, which)
                 gradient = log_evidence_gradient(table, alphas, which)
-                for a, value, slope in zip(alphas, grid, gradient):
-                    assert log_evidence_grid(table, [a], which)[0] == value, (K, which, a)
-                    assert log_evidence_gradient(table, float(a), which) == slope, (K, which, a)
+                samples = np.broadcast_to(which, alphas.shape).tolist()
+                for a, w, value, slope in zip(alphas, samples, grid, gradient):
+                    assert log_evidence_grid(table, [a], w)[0] == value, (K, w, a)
+                    assert log_evidence_gradient(table, float(a), w) == slope, (K, w, a)
 
 
 def test_log_evidence_gradient_makes_one_delta_psi_call(monkeypatch):
