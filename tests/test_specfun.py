@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from bayesdiv.specfun import betaln, delta_psi, log_half_ratio, trigamma
+from bayesdiv.specfun import betaln, delta_psi, log_half_ratio, stacked, trigamma
 
 mpmath.mp.dps = 40
 
@@ -257,3 +257,34 @@ def test_a_batch_element_is_that_element_alone(kernel):
     batch = call(x, second)
     for v, w, got in zip(x.tolist(), second.tolist(), batch.tolist()):
         assert got == call(v, w), (v, w)
+
+
+@pytest.mark.parametrize("regime", ["every_element_steps", "no_element_steps"])
+@pytest.mark.parametrize("kernel", ["trigamma", "delta_psi", "betaln", "log_half_ratio"])
+def test_a_batch_on_one_side_of_the_recurrence_is_each_element_alone(kernel, regime):
+    # a batch whose elements all take recurrence steps (all below 8), or
+    # none do (all from 18 on, past log_half_ratio's series threshold too),
+    # takes the masked path that a mixed batch takes, with the same bits
+    lo, hi = (1e-6, 7.9) if regime == "every_element_steps" else (18.0, 1e6)
+    x = np.geomspace(lo, hi, 29)
+    second = np.resize([lo, hi, math.sqrt(lo * hi), x[3], x[17]], x.shape)
+    call = {"trigamma": lambda v, _: trigamma(v), "delta_psi": delta_psi, "betaln": betaln,
+            "log_half_ratio": lambda v, _: log_half_ratio(v)}[kernel]
+    batch = call(x, second)
+    for v, w, got in zip(x.tolist(), second.tolist(), batch.tolist()):
+        assert got == call(v, w), (v, w)
+
+
+def test_stacked_gives_each_group_the_bits_of_its_own_call():
+    # groups of different shapes, one of them with a broadcast_to view as
+    # kl_moment_grids passes, come back each in its shape, bit for bit
+    rng = np.random.default_rng(8)
+    col = np.exp(rng.normal(0, 4, (6, 1)))
+    levels = np.exp(rng.normal(0, 4, (6, 4)))
+    flat = np.exp(rng.normal(0, 4, 11))
+    groups = [(levels, np.broadcast_to(col, levels.shape)),
+              (flat, flat[::-1].copy()),
+              (np.broadcast_to(col + 2.0, levels.shape), levels)]
+    for group, got in zip(groups, stacked(delta_psi, *groups)):
+        assert got.shape == group[0].shape
+        assert np.array_equal(got, delta_psi(*group))
