@@ -30,6 +30,7 @@ import numpy as np
 
 from .counts import MultiplicityTable, build_table
 from .hyperprior import (
+    _prior_means,
     kl_hinge,
     log_weight_hellinger,
     log_weight_kl,
@@ -213,32 +214,30 @@ def _contract(grid, vectors):
 def _tile_sums(w, grids, fine, coarse, near, increments):
     """Weighted sums of one tile with weights ``w``, for ``_level_averages``.
 
-    The total weight by each rule, the weight on nodes near the box edge
-    on some axis, then each grid's weighted sum by each rule.
-    ``increments`` holds the tile's sparse weight increments of each rule,
-    as (node indices, values).  The grids are overwritten.
+    The weight, then each grid times it, summed by each rule in one
+    expression; the weight on nodes near the box edge on some axis comes
+    third.  ``increments`` holds the tile's sparse weight increments of
+    each rule, as (node indices, values).  The grids are overwritten.
     """
-    (fine_at, fine_add), (coarse_at, coarse_add) = increments
-    sums = [_contract(w, fine) + fine_add @ w[fine_at],
-            _contract(w, coarse) + coarse_add @ w[coarse_at], 0.0]
+    sums = [_contract(g, rule) + add @ g[at]
+            for g in [w, *(np.multiply(g, w, out=g) for g in grids)]
+            for rule, (at, add) in zip((fine, coarse), increments)]
+    edge = 0.0
     for k in range(len(fine)):   # near on axis k, not near on any before it
         vectors = [f * ~n for f, n in zip(fine[:k], near[:k])]
-        sums[2] += _contract(w, vectors + [fine[k] * near[k], *fine[k + 1:]])
+        edge += _contract(w, vectors + [fine[k] * near[k], *fine[k + 1:]])
+    fine_at, fine_add = increments[0]
     near_at = np.logical_or.reduce([n[i] for n, i in zip(near, fine_at)])
-    sums[2] += (fine_add * near_at) @ w[fine_at]
-    for g in grids:
-        g *= w
-        sums += [_contract(g, fine) + fine_add @ g[fine_at],
-                 _contract(g, coarse) + coarse_add @ g[coarse_at]]
+    sums.insert(2, edge + (fine_add * near_at) @ w[fine_at])
     return sums
 
 
-def _hinge_weights(hinge, ua, ub):
-    """Increments to the node weights of Gregory's rule on ``ua`` x ``ub`` at a bend.
+def _hinge_weights(bend, nodes):
+    """Increments to the node weights of Gregory's rule at a bend of the log weight.
 
-    ``hinge`` locates on (ln alpha, ln beta) axes where the log weight
-    bends as smooth + max(0, g), g rising along each alpha row (see
-    ``hyperprior.kl_hinge``).  Where g crosses 0, the weight f = F e^max(0, g)
+    ``bend`` is ``hyperprior.kl_hinge``'s location, on a grid of ``nodes``
+    alpha nodes, of where the log weight bends as smooth + max(0, g), g
+    rising along each alpha row.  Where g crosses 0, the weight f = F e^max(0, g)
     jumps in every derivative by that of s = F (e^g - 1), a smooth function
     that vanishes there and is known on every node from f and g.  With the
     crossing at the fraction theta of a beta cell of width h, Gregory's rule
@@ -248,7 +247,7 @@ def _hinge_weights(hinge, ua, ub):
     around the crossing gives the terms k = 2, 3, 4, as weights on those
     nodes, in steps.  Returns their (alpha, beta) node indices and values.
     """
-    rows, j, cols, g = hinge(ua, ub)
+    rows, j, cols, g = bend
     if not len(rows):
         return (rows, rows), np.zeros(0)
     at = (np.arange(len(j)), j - cols[:, 0])   # the crossing cell in each stencil
@@ -265,23 +264,24 @@ def _hinge_weights(hinge, ua, ub):
              + theta * (theta - 0.5) * (theta - 1.0) / 3.0 * e1
              + ((theta * (theta - 1.0)) ** 2 - 1.0 / 30.0) / 4.0) / _LAGRANGE_DENOMINATORS
     s_per_f = np.expm1(g) * np.exp(-np.maximum(g, 0.0))
-    add = _gregory_ends(len(ua))[rows, None] * per_s * s_per_f
+    add = _gregory_ends(nodes)[rows, None] * per_s * s_per_f
     return (np.repeat(rows, 4), cols.ravel()), add.ravel()
 
 
-def _level_hinges(hinge, axes, subgrid=None):
+def _level_hinges(K, axes, subgrid=None):
     """Hinge increments of a level's two rules, for ``_level_averages``.
 
     Those of Gregory's rule on all nodes of ``axes``, then of its
-    every-other-node subgrid, on the subgrid's own cells and steps.  The
-    subgrid's are those of the rule on all nodes of the level before,
-    ``subgrid``, when given; a subgrid row crosses only where its full
-    row does.
+    every-other-node subgrid, on its own cells and steps, at the bend of
+    the KL prior of ``K`` categories, located by one ``_prior_means`` pass.
+    The subgrid's are those on all nodes of the level before, ``subgrid``,
+    when given; a subgrid row crosses only where its full row does.
     """
-    fine = _hinge_weights(hinge, *axes)
-    if subgrid is None:
-        subgrid = _hinge_weights(hinge, *(u[::2] for u in axes)) if len(fine[1]) else fine
-    (rows, cols), add = subgrid
+    mean_a, mean_b = _prior_means(*(np.exp(u) for u in axes), K)
+    fine = _hinge_weights(kl_hinge(mean_a, mean_b, K), len(mean_a))
+    if subgrid is None and len(fine[1]):
+        subgrid = _hinge_weights(kl_hinge(mean_a[::2], mean_b[::2], K), len(mean_a[::2]))
+    (rows, cols), add = subgrid or fine
     return [fine, ((2 * rows, 2 * cols), add)]
 
 
@@ -326,7 +326,7 @@ def _level_averages(log_weight, moments, axes, hinges=None):
             [s / coarse_w for s in grid_sums[1::2]], edge / fine_w)
 
 
-def _quadrature(log_weight, moments, names, hinge=None):
+def _quadrature(log_weight, moments, names, hinge_K=None):
     """Posterior averages of ``moments`` over the whole box.
 
     Scans for the window, then evaluates the log weight and the moment
@@ -338,17 +338,17 @@ def _quadrature(log_weight, moments, names, hinge=None):
     change of a returned number between the level and its subgrid, and
     ``converged`` says whether the last level met _QUAD_TOL.  ``names``
     label the axes in the diagnostics, in the order of ``log_weight``'s
-    arguments, and set their number.  ``hinge``, if given, locates the
-    bend of the log weight on each level's two axes, for the node weights
-    of ``_level_hinges``: left alone, the KL prior's bend would hold
+    arguments, and set their number.  ``hinge_K``, if given, is the K of
+    a KL prior in the log weight: each level's node weights then account
+    for that prior's bend (``_level_hinges``), which left alone would hold
     Gregory's rule to O(h^2).
     """
     window, stars, top, edges = _scan(log_weight, len(names))
     nodes, hinges = _FIRST_NODES, None
     while True:
         axes = [np.linspace(lo, hi, nodes) for lo, hi in window]
-        if hinge:   # the level before has this one's subgrid for its nodes
-            hinges = _level_hinges(hinge, axes, hinges[0] if hinges else None)
+        if hinge_K:   # the level before has this one's subgrid for its nodes
+            hinges = _level_hinges(hinge_K, axes, hinges[0] if hinges else None)
         fine, coarse, edge_mass = _level_averages(log_weight, moments, axes, hinges)
         converged = all(abs(f - c) <= _QUAD_TOL * abs(f)
                         for f, c in zip(fine, coarse))
@@ -483,19 +483,17 @@ def _canonical_orientation(table):
     return swapped, ("beta", "alpha")
 
 
-def _dpm_report(table, log_prior, moment_grids, names=("alpha", "beta"), hinge=None):
+def _dpm_report(table, log_prior, moment_grids, names=("alpha", "beta"), hinge=False):
     check_K(check_table(table).K)
-    log_hinge = None if hinge is None else (
-        lambda ua, ub: hinge(np.exp(ua), np.exp(ub), table.K))
-    out, diag = _quadrature(
-        _dpm_log_weight(table, log_prior),
-        lambda ua, ub: moment_grids(table, np.exp(ua), np.exp(ub)), names, log_hinge)
+    out, diag = _quadrature(_dpm_log_weight(table, log_prior),
+                            lambda ua, ub: moment_grids(table, np.exp(ua), np.exp(ub)),
+                            names, table.K if hinge else None)
     return EstimateReport(*out, diagnostics=diag)
 
 
 def estimate_dkl_dpm(table):
     """Mixture estimate of D_KL(q||t) with its posterior spread."""
-    return _dpm_report(table, log_weight_kl, kl_moment_grids, hinge=kl_hinge)
+    return _dpm_report(table, log_weight_kl, kl_moment_grids, hinge=True)
 
 
 def estimate_hellinger_dpm(table):

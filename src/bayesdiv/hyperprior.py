@@ -73,23 +73,18 @@ def log_weight_kl(alpha, beta, K):
     return float_if_scalar(out, alpha, beta)
 
 
-def kl_hinge(alpha, beta, K):
-    """Where ``log_weight_kl`` bends on the grid of ascending axes ``alpha``, ``beta``.
+def kl_hinge(mean_a, mean_b, K):
+    """Where ``log_weight_kl`` bends, from the prior means on ascending grid axes.
 
     ln rho = smooth + max(0, g) with g = ln ln K - ln(B(beta) - A(alpha)):
-    the min(z, ln K) term bends where z = ln K.  B falls as beta grows, so
-    along each alpha row g rises and crosses 0 at most once.  Returns the
-    rows i where it crosses inside the beta axis, the cell [beta_j,
-    beta_j+1] of each crossing (g_ij <= 0 < g_i,j+1), and the four beta
-    nodes around that cell, moved inside the axis, with g on them.  Only
-    the axis vectors A(alpha) and B(beta) are evaluated, never the grid;
-    the beta axis needs at least four nodes.
+    the min(z, ln K) term bends where z = ln K.  ``mean_a`` and ``mean_b``
+    hold A and B on the alpha and beta axes (``_prior_means``).  B falls as
+    beta grows, so g rises along each alpha row and crosses 0 at most once.
+    Returns the rows i where it crosses inside the beta axis, the cell
+    [beta_j, beta_j+1] of each crossing (g_ij <= 0 < g_i,j+1), and the four
+    beta nodes around it, moved inside the axis (of four or more), with g on them.
     """
-    a = check_positive(alpha, "alpha")
-    b = check_positive(beta, "beta")
     K = check_K(K)
-    # the prior means of log_weight_kl, both axes from one delta_psi call
-    mean_a, mean_b = _prior_means(a, b, K)
     # g > 0 where B < A + ln K; -B ascends, so that starts at this index
     first = np.searchsorted(-mean_b, -(mean_a + np.log(K)), side="right")
     rows = np.flatnonzero((first > 0) & (first < len(mean_b)))
@@ -141,16 +136,13 @@ def log_weight_hellinger(alpha, beta, K):
     b = check_positive(beta, "beta")
     K = check_K(K)
     # each helper runs once, on both axes
-    axes = np.concatenate([a.ravel(), b.ravel()])
-    lg = _log_g(axes, K)
-    lg_a, lg_b = lg[:a.size].reshape(a.shape), lg[a.size:].reshape(b.shape)
+    lg_a, lg_b = stacked(lambda x: _log_g(x, K), (a,), (b,))
     z = -np.expm1(lg_a + lg_b)                       # 1 - g g, in (0, 1)
     # rounded addition and expm1 are monotone, so the axis extremes bound z
     if not (-np.expm1(np.max(lg_a) + np.max(lg_b)) > 0
             and -np.expm1(np.min(lg_a) + np.min(lg_b)) < 1):
         raise ValueError("1 - g(alpha) g(beta) must lie in (0, 1)")
-    slope = bhattacharyya_factor_log_slope(axes, K)
-    slope_a, slope_b = slope[:a.size].reshape(a.shape), slope[a.size:].reshape(b.shape)
+    slope_a, slope_b = stacked(lambda x: bhattacharyya_factor_log_slope(x, K), (a,), (b,))
     if not (np.all(slope_a > 0) and np.all(slope_b > 0)):
         raise ValueError("g must increase in alpha and in beta")
     # |dg/dx| = g * dlng/dx; target density rho(z)(1-z)^2/(z(2-z)) with

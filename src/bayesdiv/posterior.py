@@ -165,11 +165,13 @@ def _evidence_sums(table, alphas, which_sample, name, gradient):
     """
     check_table(table)
     alphas = _grid_vec(alphas, name)
-    which = np.asarray(which_sample)
+    try:   # a scalar names the sample of every alpha
+        which = np.broadcast_to(which_sample, alphas.shape)
+    except ValueError:
+        raise ValueError(f"which_sample must be 1, 2 or an array like {name}") from None
     blocks = []   # per sample: where its alphas are, and its terms
     for sample in (1, 2):
-        at = np.flatnonzero(which == sample) if which.ndim else (
-            np.arange(len(alphas)) if which == sample else ())
+        at = np.flatnonzero(which == sample)
         if len(at):
             blocks.append((at, *_evidence_terms(table, sample, gradient)))
     if sum(len(at) for at, *_ in blocks) < len(alphas):

@@ -12,6 +12,7 @@ batch it is evaluated in.  ``stacked`` makes one kernel call serve
 several arrays.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -50,10 +51,9 @@ def stacked(fn, *groups):
     group's shape.
     """
     shapes = [np.shape(group[0]) for group in groups]
-    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-    args = [np.concatenate([np.ravel(group[i]) for group in groups]) for i in range(len(groups[0]))]
-    out = fn(*args)
-    return [out[lo:hi].reshape(shape) for shape, lo, hi in zip(shapes, [0] + ends, ends)]
+    ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    out = fn(*(np.concatenate([np.ravel(a) for a in arrays]) for arrays in zip(*groups)))
+    return [out[lo:hi].reshape(shape) for shape, lo, hi in zip(shapes, ends, ends[1:])]
 
 
 _RAISE_TO = 18.0   # every kernel lifts its arguments by recurrence to here
@@ -283,7 +283,7 @@ def log_half_ratio(x):
     E(x, 1/2); from there on its own asymptotic series is summed through
     1/x^15 (its truncation error there is below 1e-16 relative).
     """
-    return _blockwise(_half_ratio, np.asarray(x, dtype=float))
+    return _blockwise(_half_ratio, check_positive(x, "x"))
 
 
 def _half_ratio(x):

@@ -166,13 +166,16 @@ def test_markov_truth_matches_the_chain_formulas(divergence):
         assert row.true_value == want
 
 
-def test_run_deterministic_across_calls_and_workers():
-    rows_a = run_convergence(SMALL)
-    rows_b = run_convergence(SMALL)
-    assert rows_a == rows_b
+@pytest.mark.parametrize("divergence, estimators", [
+    ("kl", SMALL.estimators), ("hellinger2", ("dpm", "dp", "naive"))])
+def test_run_deterministic_across_calls_and_workers(divergence, estimators):
     from dataclasses import replace
 
-    rows_c = run_convergence(replace(SMALL, workers=2))
+    config = replace(SMALL, divergence=divergence, estimators=estimators)
+    rows_a = run_convergence(config)
+    rows_b = run_convergence(config)
+    assert rows_a == rows_b
+    rows_c = run_convergence(replace(config, workers=2))
     assert rows_a == rows_c
 
 

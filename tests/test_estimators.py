@@ -27,7 +27,7 @@ from bayesdiv.estimators import (
     estimate_hellinger_plugin,
     maximize_log_posterior,
 )
-from bayesdiv.hyperprior import kl_hinge, log_weight_kl
+from bayesdiv.hyperprior import _prior_means, kl_hinge, log_weight_kl
 from bayesdiv.posterior import (
     HyperParams,
     entropy_grid,
@@ -367,12 +367,10 @@ def test_mixture_average_stays_within_its_grid():
                                           pytest.param(2, True, id="2-hinge")])
 def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims, hinged, tile, tiles):
     table = _dirichlet_table(40, 30, seed=4)[0]
-    hinge = hinges = None
+    hinges = None
     if dims == 2:
         log_weight = _dpm_log_weight(table, log_weight_kl)
         grids = lambda ua, ub: kl_moment_grids(table, np.exp(ua), np.exp(ub))  # noqa: E731
-        if hinged:
-            hinge = lambda ua, ub: kl_hinge(np.exp(ua), np.exp(ub), table.K)  # noqa: E731
     else:
         log_weight = lambda ua: log_evidence_grid(table, np.exp(ua), 1) + ua  # noqa: E731
         grids = lambda ua: [entropy_grid(table, np.exp(ua), 1)]  # noqa: E731
@@ -384,14 +382,15 @@ def test_a_tiled_level_matches_one_evaluation_of_the_whole(monkeypatch, dims, hi
 
     axes = [np.linspace(lo, hi, 65) for lo, hi in _scan(log_weight, dims)[0]]
     if hinged:
-        hinges = estimators._level_hinges(hinge, axes)
+        hinges = estimators._level_hinges(table.K, axes)
     whole = _level_averages(log_weight, moments, axes, hinges)
     assert seen == [[65] * dims]
     monkeypatch.setattr(estimators, "_TILE_NODES", tile)
     if hinged:   # some crossing cell of each rule has its two nodes in two tiles
         cuts = np.array([s.start for s in estimators._tiles(65)])
         for stride in (1, 2):
-            j = stride * hinge(*(u[::stride] for u in axes))[1][:, None]
+            means = _prior_means(*(np.exp(u[::stride]) for u in axes), table.K)
+            j = stride * kl_hinge(*means, table.K)[1][:, None]
             assert ((j < cuts) & (cuts <= j + stride)).any(), stride
     seen.clear()
     tiled = _level_averages(log_weight, moments, axes, hinges)
@@ -461,16 +460,33 @@ def test_hinge_terms_keep_every_node_weight_positive(K):
     # KL >= 0 holds by construction; the coarsest whole-box levels have the
     # widest cells, so the largest hinge terms
     box = (math.log(1e-6), math.log(1e6))
-    hinge = lambda ua, ub: kl_hinge(np.exp(ua), np.exp(ub), K)  # noqa: E731
     for nodes in (9, 17, 33, 65):
         axes = [np.linspace(*box, nodes)] * 2
         rules = [estimators._axis_rules(u) for u in axes]
-        for k, (at, add) in enumerate(estimators._level_hinges(hinge, axes)):
+        for k, (at, add) in enumerate(estimators._level_hinges(K, axes)):
             plain = np.outer(rules[0][k], rules[1][k])   # all nodes, then the subgrid
             corrected = plain.copy()
             np.add.at(corrected, at, add)
             assert len(add) > 0 and (plain[at] > 0).all(), (nodes, k)
             assert (corrected[plain > 0] > 0).all(), (nodes, k)
+
+
+def test_a_dpm_kl_estimate_makes_one_prior_mean_pass_per_level(monkeypatch):
+    # a level's bend, and the first level's subgrid's, come from one pass
+    # of the prior means on the level's axes
+    passes = []
+    means = estimators._prior_means
+    monkeypatch.setattr(estimators, "_prior_means",
+                        lambda *args: passes.append(args) or means(*args))
+    seen = set()
+    for table in [_dirichlet_table(400, N, 31)[0] for N in (25, 100, 4000)] + [
+            build_table([], [], 400), build_table([3, 0], [0, 3], 2)]:
+        passes.clear()
+        nodes = estimate_dkl_dpm(table).diagnostics["grid_bins_alpha"]
+        levels = int(math.log2((nodes - 1) // 32)) + 1   # 33, 65, 129, .. nodes
+        assert len(passes) == levels, (table.K, table.N, nodes)
+        seen.add(levels)
+    assert min(seen) < max(seen)
 
 
 def test_dpm_matches_dp_at_large_samples():

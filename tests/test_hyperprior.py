@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from bayesdiv.hyperprior import (
     _log_g,
+    _prior_means,
     bhattacharyya_factor_log_slope,
     kl_hinge,
     log_weight_hellinger,
@@ -210,7 +211,7 @@ def test_kl_hinge_is_where_the_weight_bends(K):
     # rounding of its plain digamma differences
     box = (math.log(1e-6), math.log(1e6))
     a, b = np.exp(np.linspace(*box, 41))[:, None], np.exp(np.linspace(*box, 37))[None, :]
-    rows, j, cols, g = kl_hinge(a[:, 0], b[0], K)
+    rows, j, cols, g = kl_hinge(*_prior_means(a[:, 0], b[0], K), K)
     z = prior_mean_crossentropy(b, K) - prior_mean_entropy(a, K)
     full = math.log(math.log(K)) - np.log(z)
     bend = _phi_part(a, b, K) + np.log(z) + math.log(math.log(K))

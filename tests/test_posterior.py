@@ -72,8 +72,15 @@ _TABLE = build_table([3, 0, 1], [1, 2, 0], 4)
     (lambda: posterior_dkl(_TABLE, (1.0, 1.0, 4)), "expected HyperParams"),
     (lambda: posterior_dkl(_TABLE, _hp(1.0, 1.0, 5)), "hyperparameter K=5 != table K=4"),
     (lambda: log_evidence(_TABLE, 1.0, 3), "which_sample must be 1 or 2"),
+    (lambda: log_evidence_grid(_TABLE, [1.0, 2.0, 3.0], [1, 1, 1, 1, 1]),
+     "which_sample must be 1, 2 or an array like alphas"),
+    (lambda: log_evidence_gradient(_TABLE, [1.0, 2.0, 3.0], [2, 2, 2, 2]),
+     "which_sample must be 1, 2 or an array like alpha"),
+    (lambda: log_evidence_grid(_TABLE, [1.0, 2.0, 3.0], [[1, 2, 1]]),
+     "which_sample must be 1, 2 or an array like alphas"),
     (lambda: log_evidence_grid(_TABLE, [[1.0, 2.0]]), "alphas must be a 1-d array"),
-], ids=["table", "hyperparams", "hyperparams_k", "which_sample", "alphas_2d"])
+], ids=["table", "hyperparams", "hyperparams_k", "which_sample", "which_sample_length",
+        "which_sample_gradient_length", "which_sample_2d", "alphas_2d"])
 def test_bad_inputs_raise_with_their_message(call, message):
     with pytest.raises(ValueError) as err:
         call()
