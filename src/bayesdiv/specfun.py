@@ -283,7 +283,7 @@ def log_half_ratio(x):
     E(x, 1/2); from there on its own asymptotic series is summed through
     1/x^15 (its truncation error there is below 1e-16 relative).
     """
-    return _blockwise(_half_ratio, check_positive(x, "x"))
+    return float_if_scalar(_blockwise(_half_ratio, check_positive(x, "x")), x)
 
 
 def _half_ratio(x):

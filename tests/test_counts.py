@@ -543,20 +543,32 @@ def test_counts_only_int_reads_leave_a_tsv_to_the_walker(tmp_path, monkeypatch,
     assert handed == ([f1, f2] if walked else [])
 
 
-def test_a_wide_tsv_pair_loads_without_holding_its_parsed_rows(tmp_path):
+def _forbid_the_walker(monkeypatch):
+    def walk(path, *_):
+        raise AssertionError(f"{path} was handed to the line walker")
+
+    monkeypatch.setattr(counts_module, "_walk", walk)
+
+
+@pytest.mark.parametrize("order", ["index", "shuffled"])
+def test_a_wide_tsv_pair_loads_without_holding_its_parsed_rows(tmp_path, monkeypatch, order):
     # perfbench's layout: K=1e5, N=M=1e6 from Dirichlet(1), nonzero rows
-    # only (about 91 000 a file).  A count column that viewed the parsed
-    # rows would keep both files' rows alive through the join; ids read as
-    # Python objects peaked at 22.3 MB, and as 4-byte text at 13.2 MB.  As
-    # UTF-8 bytes, with one sort building the table, the load peaks near 7.5 MB
+    # only (about 91 000 a file), in index order or shuffled.  A count
+    # column that viewed the parsed rows would keep both files' rows alive
+    # through the join; ids read as Python objects peaked at 22.3 MB, and
+    # as 4-byte text at 13.2 MB.  As UTF-8 bytes, with one sort building
+    # the table, the load peaks near 7.5 MB
     K = 100_000
     rng = np.random.default_rng(0)
     paths = []
     for name in ("a.tsv", "b.tsv"):
         counts = rng.multinomial(1_000_000, rng.dirichlet(np.ones(K)))
         idx = np.flatnonzero(counts)
+        if order == "shuffled":
+            idx = rng.permutation(idx)
         paths.append(_write_lines(tmp_path, name, [f"#K={K}", *(
             f"c{i}\t{c}" for i, c in zip(idx.tolist(), counts[idx].tolist()))]))
+    _forbid_the_walker(monkeypatch)
     tracemalloc.start()
     try:
         table = load_count_files(*paths)
@@ -565,13 +577,6 @@ def test_a_wide_tsv_pair_loads_without_holding_its_parsed_rows(tmp_path):
         tracemalloc.stop()
     assert (table.K, table.N, table.M) == (K, 1_000_000, 1_000_000)
     assert peak < 10e6, peak
-
-
-def _forbid_the_walker(monkeypatch):
-    def walk(path, *_):
-        raise AssertionError(f"{path} was handed to the line walker")
-
-    monkeypatch.setattr(counts_module, "_walk", walk)
 
 
 def test_ids_of_any_length_and_script_load_exactly_on_the_bulk_path(tmp_path, monkeypatch):
@@ -606,6 +611,29 @@ def test_ids_of_mixed_length_stay_on_the_bulk_path(tmp_path, monkeypatch):
         f"{key}\t{c}" for key, c in zip(keys, rng.integers(0, 30, len(keys)).tolist()))])
               for name, keys in (("a", names[:1500]), ("b", names[500:])))
     want = _outcome(_ref_load, f1, f2)
+    _forbid_the_walker(monkeypatch)
+    assert _outcome(load_count_files, f1, f2) == want
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+def test_ids_about_the_8_byte_word_boundaries_load_exactly_on_the_bulk_path(
+        tmp_path, monkeypatch, order):
+    # ids are sorted and joined as big-endian 8-byte words: these are 7, 8, 9
+    # and 17 bytes long, share their first 8 bytes, are prefixes of each
+    # other, or hold a character whose UTF-8 bytes straddle bytes 8 and 9.
+    # Sixteen stems make the reversed and shuffled files more than 8 runs
+    stems = ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnopq", "abcdefghZ",
+             "abcdefghijklmnop", "abcdefgé", "abcdefg和", "abcdefghé",
+             "ab", "b", "abcdefgi", "zzzzzzzzzzzzzzzzz", "éabcdefg", "abcdefg h", "yx"]
+    ids = sorted({*stems, *(stem + "q" for stem in stems)})
+    if order != "sorted":
+        ids = ids[::-1] if order == "reversed" else np.random.default_rng(7).permutation(ids).tolist()
+    f1 = _write_lines(tmp_path, "a.tsv", [f"#K={len(ids) + 1}", *(
+        f"{key}\t{i}" for i, key in enumerate(ids) if i % 3)])
+    f2 = _write_lines(tmp_path, "b.tsv", [f"{key}\t{i + 1}" for i, key in enumerate(ids)
+                                          if i % 2 and len(key.encode()) <= 9])
+    want = _outcome(_ref_load, f1, f2)
+    assert want[3] == len(ids) + 1   # a table, not an error
     _forbid_the_walker(monkeypatch)
     assert _outcome(load_count_files, f1, f2) == want
 

@@ -34,6 +34,12 @@ def test_wrappers_accept_arrays():
     assert trigamma(z).shape == (3,)
 
 
+def test_every_kernel_returns_a_float_for_scalar_arguments():
+    for x in (2.0, 3, np.float64(0.5)):
+        for got in (trigamma(x), betaln(x, 1.5), delta_psi(x, 1.5), log_half_ratio(x)):
+            assert type(got) is float, (x, got)
+
+
 @pytest.mark.parametrize("fn", [trigamma, lambda x: betaln(x, 1.0), lambda x: betaln(1.0, x)],
                          ids=["trigamma", "betaln[a]", "betaln[b]"])
 def test_wrappers_reject_nonpositive(fn):
