@@ -259,13 +259,15 @@ def _comment_lines(text):
 
 def _id_dtype(text):
     """A bytes dtype for a TSV's ids, and whether the file holds a byte that
-    ``_strips_as_text`` looks for: the dtype is as wide as the longest line,
-    which no id exceeds.  Were all lines as long as the longest, they would
-    take one array byte per byte of text.  Over 4 bytes a byte, the longest
-    line is over four mean lines long (a long id, or a long comment): the
-    walker reads it.  Only then is the width taken again without the
-    comments, which numpy skips; each "#" here starts one, as
-    ``_comment_lines`` has checked."""
+    ``_strips_as_text`` looks for: the dtype is 2 bytes narrower than the
+    longest line.  A row that numpy parses holds its id, a tab and a count
+    of at least one byte (numpy refuses an empty or blank count), so no id
+    exceeds that width; a wider one numpy would cut.  Were all lines as
+    long as the longest, they would take about one array byte per byte of
+    text.  Over 4 bytes a byte, the longest line is over four mean lines
+    long (a long id, or a long comment): the walker reads it.  Only then is
+    the width taken again without the comments, which numpy skips; each "#"
+    here starts one, as ``_comment_lines`` has checked."""
     width, fits, odd = _line_width(text)
     if not fits:
         width, fits, _ = _line_width(re.sub(r"#[^\n]*", "", text))
@@ -275,11 +277,12 @@ def _id_dtype(text):
 
 
 def _line_width(text):
-    # the longest line, whether it fits the budget, and any _unlike_ascii byte.
-    # The text was read with universal newlines, so every line ends in "\n"
+    # the longest line less its tab and a count byte, whether that fits the
+    # budget, and any _unlike_ascii byte.  The text was read with universal
+    # newlines, so every line ends in "\n"
     data = np.frombuffer(text.encode(), dtype=np.uint8)
     ends = np.flatnonzero(data == 10)
-    width = max(int(np.diff(ends, prepend=-1, append=data.size).max()) - 1, 1)
+    width = max(int(np.diff(ends, prepend=-1, append=data.size).max()) - 3, 1)
     return width, width * len(ends) <= 4 * data.size, _unlike_ascii(data).any()
 
 
@@ -290,7 +293,7 @@ def _unlike_ascii(data):   # 0x1c-0x1f, or a byte of a non-ASCII character
 def _strips_as_text(ids):
     """Whether str.strip keeps each bytes.strip-ped UTF-8 id; only an id with an
     ``_unlike_ascii`` first or last byte is decoded."""
-    data = ids.view(np.uint8).reshape(len(ids), -1)
+    data = np.ascontiguousarray(ids).view(np.uint8).reshape(len(ids), -1)   # ids may be a column
     last = data[np.arange(len(ids)), np.char.str_len(ids) - 1]   # an empty id's is a pad, 0
     edged = ids[_unlike_ascii(data[:, 0]) | _unlike_ascii(last)].tolist()
     return all(key.decode() == key.decode().strip() for key in edged)
@@ -302,7 +305,7 @@ def _bulk_read(path, tsv):
     counts as int64; a count that only int() reads ("1_0", non-ASCII digits)
     leaves the file to the walker, which reads it to the same table.  A
     TSV's ids come back as bytes, read as latin-1 text (a character a byte),
-    zero-padded to whole 8-byte words and sorted (UTF-8 sorts by code
+    one 8-byte word wide if none is longer, and sorted (UTF-8 sorts by code
     point), its counts alongside."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -331,12 +334,12 @@ def _bulk_read(path, tsv):
                 keys[0] = keys[0][3:]   # the mark stays with the first id
             if any(c in text for c in " \x0b\x0c"):   # what np.char.strip cuts from a field
                 keys = np.char.strip(keys)
-            words = -(-int(np.char.str_len(keys).max()) // 8)   # in the longest id
-            keys = keys.astype(f"S{8 * max(words, 1)}")
+            if np.char.str_len(keys).max() <= 8:
+                keys = keys.astype("S8", copy=False)   # one word an id
             if odd and not _strips_as_text(keys):
                 return None
-            order, new = _id_order(keys)
-            keys, counts = keys[order], counts[order]   # an empty id sorts first
+            order, keys, new = _id_order(keys)   # an empty id sorts first
+            counts = counts[order]
             if not keys[0] or not new.all():
                 return None
     except (ValueError, OverflowError, Warning):
@@ -345,31 +348,19 @@ def _bulk_read(path, tsv):
 
 
 def _id_order(ids):
-    """An order that sorts ids, and whether each sorted id differs from the
-    one before it.  Bulk-read ids, zero-padded to whole 8-byte words, sort
-    by their first word as a big-endian integer, which orders them as their
-    bytes do; ids whose first words tie are then sorted by all their bytes.
-    Words in at most 8 sorted runs, as a joined pair's are, take timsort,
-    and others quicksort, which is as fast at 10 random runs.  Walked ids,
-    of any length, cannot be held at one width: they are compared as bytes."""
-    if ids.dtype == object:
+    """An order that sorts ids, the sorted ids, and whether each differs from
+    the one before it.  Bulk-read ids of at most 8 bytes, zero-padded to one
+    word, sort as big-endian integers, which orders them as their bytes do.
+    Wider ones, and walked ids, which are of any length and cannot be held
+    at one width, are compared as bytes."""
+    if ids.dtype == object or ids.itemsize > 8:
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
-        return order, np.append(True, ids[1:] != ids[:-1])
-    first = ids.view(">u8")[::ids.itemsize // 8].astype(np.uint64)
-    runs = np.count_nonzero(first[1:] < first[:-1]) + 1
-    order = np.argsort(first, kind="stable" if runs <= 8 else "quicksort")
-    first = first[order]
-    new = np.append(True, first[1:] != first[:-1])
-    if ids.itemsize > 8 and not new.all():
-        # the tied rows hold whole runs of first words, in order, so
-        # sorting them by bytes fills each run's slots with its own ids
-        tied = np.flatnonzero(~new | np.append(~new[1:], False))
-        rows = order[tied]
-        order[tied] = rows = rows[np.argsort(ids[rows], kind="stable")]
-        keys = ids[rows]
-        new[tied[1:]] = keys[1:] != keys[:-1]
-    return order, new
+        return order, ids, np.append(True, ids[1:] != ids[:-1])
+    words = ids.view(">u8").astype(np.uint64)
+    order = np.argsort(words, kind="stable")
+    words = words[order]
+    return order, ids[order], np.append(True, words[1:] != words[:-1])
 
 
 def _read(path, tsv):
@@ -399,12 +390,12 @@ def load_count_files(path1, path2=None, k=None):
         raise ValueError(f"{path1 if k1 is not None else path2}: "
                          f"has #K={header_k} but --k={k}")
     # each file's ids are distinct; its counts land at their ids' ranks.
-    # Bulk-read ids come sorted, so their words sort as two runs.  Dropping
+    # Bulk-read ids come sorted, so they sort as two runs.  Dropping
     # the id arrays early lowers the peak memory.
     split = len(ids1)
     ids = np.concatenate((ids1, ids2))
     del ids1, ids2
-    order, new = _id_order(ids)
+    order, ids, new = _id_order(ids)
     del ids
     rank = np.empty_like(order)
     rank[order] = np.cumsum(new) - 1

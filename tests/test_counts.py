@@ -618,10 +618,11 @@ def test_ids_of_mixed_length_stay_on_the_bulk_path(tmp_path, monkeypatch):
 @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
 def test_ids_about_the_8_byte_word_boundaries_load_exactly_on_the_bulk_path(
         tmp_path, monkeypatch, order):
-    # ids are sorted and joined as big-endian 8-byte words: these are 7, 8, 9
-    # and 17 bytes long, share their first 8 bytes, are prefixes of each
-    # other, or hold a character whose UTF-8 bytes straddle bytes 8 and 9.
-    # Sixteen stems make the reversed and shuffled files more than 8 runs
+    # ids of at most 8 bytes are sorted and joined as big-endian 8-byte
+    # words, longer ones as bytes: these are 7, 8, 9 and 17 bytes long, share
+    # their first 8 bytes, are prefixes of each other, or hold a character
+    # whose UTF-8 bytes straddle bytes 8 and 9.  The first pair joins a wide
+    # file with a file of words, the second two files of words
     stems = ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnopq", "abcdefghZ",
              "abcdefghijklmnop", "abcdefgé", "abcdefg和", "abcdefghé",
              "ab", "b", "abcdefgi", "zzzzzzzzzzzzzzzzz", "éabcdefg", "abcdefg h", "yx"]
@@ -630,12 +631,14 @@ def test_ids_about_the_8_byte_word_boundaries_load_exactly_on_the_bulk_path(
         ids = ids[::-1] if order == "reversed" else np.random.default_rng(7).permutation(ids).tolist()
     f1 = _write_lines(tmp_path, "a.tsv", [f"#K={len(ids) + 1}", *(
         f"{key}\t{i}" for i, key in enumerate(ids) if i % 3)])
-    f2 = _write_lines(tmp_path, "b.tsv", [f"{key}\t{i + 1}" for i, key in enumerate(ids)
-                                          if i % 2 and len(key.encode()) <= 9])
-    want = _outcome(_ref_load, f1, f2)
-    assert want[3] == len(ids) + 1   # a table, not an error
+    f2, f3 = (_write_lines(tmp_path, f"{name}.tsv", [f"{key}\t{i + 1}" for i, key in enumerate(ids)
+                                                    if i % step and len(key.encode()) <= 8])
+              for name, step in (("b", 2), ("c", 3)))
+    wants = [_outcome(_ref_load, *pair, len(ids) + 1) for pair in ((f1, f2), (f3, f2))]
+    assert [want[3] for want in wants] == [len(ids) + 1] * 2   # tables, not errors
     _forbid_the_walker(monkeypatch)
-    assert _outcome(load_count_files, f1, f2) == want
+    assert [_outcome(load_count_files, *pair, len(ids) + 1)
+            for pair in ((f1, f2), (f3, f2))] == wants
 
 
 @pytest.mark.parametrize("line, walked", [("x" * 5000 + "\t1", 1),
