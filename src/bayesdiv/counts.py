@@ -335,7 +335,7 @@ def _bulk_read(path, tsv):
             if any(c in text for c in " \x0b\x0c"):   # what np.char.strip cuts from a field
                 keys = np.char.strip(keys)
             if np.char.str_len(keys).max() <= 8:
-                keys = keys.astype("S8", copy=False)   # one word an id
+                keys = keys.astype("S8", copy=False)   # each id one word
             if odd and not _strips_as_text(keys):
                 return None
             order, keys, new = _id_order(keys)   # an empty id sorts first
